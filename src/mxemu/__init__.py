@@ -42,9 +42,7 @@ from .quantizer import (
 from .rotation import RotationSpec, make_rotation, rotate
 from .scaling import (
     SCALE_MODES,
-    AsymScalePair,
     ScaleMode,
-    asym_scales,
     fp_scale,
     get_scale_mode,
     nvfp4_scales,

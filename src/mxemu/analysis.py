@@ -1,29 +1,31 @@
 """Group statistics and quantization-error analysis.
 
-Kurtosis here is the plain fourth standardized moment E[(v-u)^4]/sigma^4
-with population variance and no excess correction, so any distribution is
-bounded below by 1 and a Gaussian sits at 3. Quantization error decomposes
-exhaustively into a clamping part (elements whose scaled magnitude exceeds
-the format's max normal, or whose zero-point code saturates) and a rounding
-part; the report's mse is defined as (clamp + round) / count so the
-decomposition identity is exact in float64.
+Per-group results are column arrays with one entry per group, in the
+row-major order of the grouped view (quantizer.group_view), so a group's
+index is its position. Kurtosis here is the plain fourth standardized
+moment E[(v-u)^4]/sigma^4 with population variance and no excess
+correction, so any distribution is bounded below by 1 and a Gaussian sits
+at 3; it is NaN for a constant group, whose variance is zero. Quantization
+error decomposes exhaustively into a clamping part (elements whose scaled
+magnitude exceeds the format's max normal, or whose zero-point code
+saturates) and a rounding part; the report's mse is defined as
+(clamp + round) / count so the decomposition identity is exact in float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import formats, scaling
+from . import formats
 from .errors import ConfigError, DataError
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
+from .quantizer import QuantConfig, QuantizedTensor, dequantize, group_view, quantize
 
 __all__ = [
     "GroupStats",
     "FiveNumber",
     "StatsSummary",
-    "GroupError",
     "ErrorReport",
     "group_stats",
     "stats_summary",
@@ -34,33 +36,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupStats:
-    group_index: int
-    mean: float
-    kurtosis: float | None  # None when the group is constant (zero variance)
+    """Per-group mean and kurtosis; kurtosis is NaN where a group is constant."""
+
+    mean: np.ndarray
+    kurtosis: np.ndarray
 
 
-def group_stats(x, group_size=None, axis=-1) -> list[GroupStats]:
+def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     """Per-group mean and kurtosis along the grouping axis."""
-    cfg = QuantConfig(formats.get_format("fp4_e2m1"), group_size, axis=axis)
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DataError("empty tensor")
-    from .quantizer import _grouped  # shares the divisibility contract
-
-    _, xg, _ = _grouped(arr, cfg)
-    flat = xg.reshape(-1, xg.shape[-1])
-    mu = flat.mean(axis=1)
-    centered = flat - mu[:, None]
-    sigma = np.sqrt((centered**2).mean(axis=1))
-    out = []
-    for i in range(flat.shape[0]):
-        if sigma[i] > 0:
-            z = centered[i] / sigma[i]  # normalize first: scale-invariant
-            kurt = float((z**4).mean())
-        else:
-            kurt = None
-        out.append(GroupStats(i, float(mu[i]), kurt))
-    return out
+    _, xg, gs = group_view(arr, group_size, axis)
+    flat = xg.reshape(-1, gs)
+    mean = flat.mean(axis=1)
+    z = flat - mean[:, None]
+    sigma = np.sqrt((z**2).mean(axis=1))
+    # normalize first (scale-invariant), into C order so that each row sums
+    # like a 1-D mean whatever the grouping axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.divide(z, sigma[:, None], order="C")
+    return GroupStats(mean, np.where(sigma > 0, (z**4).mean(axis=1), np.nan))
 
 
 @dataclass(frozen=True)
@@ -106,16 +102,15 @@ def _five(values: np.ndarray) -> FiveNumber:
     return FiveNumber(*map(float, q))
 
 
-def stats_summary(stats: list[GroupStats]) -> StatsSummary:
+def stats_summary(stats: GroupStats) -> StatsSummary:
     """Five-number summaries of group means and (defined) kurtoses."""
-    if not stats:
-        raise DataError("stats_summary: empty stats list")
-    means = np.array([s.mean for s in stats])
-    kurts = np.array([s.kurtosis for s in stats if s.kurtosis is not None])
-    undefined = len(stats) - len(kurts)
+    n = stats.mean.size
+    if n == 0:
+        raise DataError("stats_summary: no groups")
+    kurts = stats.kurtosis[~np.isnan(stats.kurtosis)]
     if kurts.size == 0:
         raise DataError("stats_summary: kurtosis undefined for every group")
-    return StatsSummary(_five(means), _five(kurts), len(stats), undefined)
+    return StatsSummary(_five(stats.mean), _five(kurts), n, n - kurts.size)
 
 
 def mse(x, y) -> float:
@@ -126,19 +121,15 @@ def mse(x, y) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-@dataclass(frozen=True)
-class GroupError:
-    group_index: int
-    clamp_sq_error: float
-    round_sq_error: float
-
-
 @dataclass
 class ErrorReport:
+    """Squared error split into clamp and round parts, in total and per group."""
+
     mse: float
     clamp_sq_error: float
     round_sq_error: float
-    per_group: list[GroupError] = field(default_factory=list)
+    clamp_sq_per_group: np.ndarray
+    round_sq_per_group: np.ndarray
 
     def as_dict(self):
         return {
@@ -178,19 +169,13 @@ def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:
     q = quantize(x, cfg)
     y = dequantize(q)
     arr = np.asarray(x, dtype=float)
-    from .quantizer import _grouped
-
-    _, xg, gs = _grouped(arr, cfg)
-    _, yg, _ = _grouped(y, cfg)
+    _, xg, _ = group_view(arr, cfg.group_size, cfg.axis)
+    _, yg, _ = group_view(y, cfg.group_size, cfg.axis)
     sq = (xg - yg) ** 2
     mask = _clamp_mask(q, xg)
     clamp_g = _seq_sum(np.where(mask, sq, 0.0)).ravel()
     round_g = _seq_sum(np.where(mask, 0.0, sq)).ravel()
-    per_group = [
-        GroupError(i, float(clamp_g[i]), float(round_g[i]))
-        for i in range(clamp_g.size)
-    ]
     clamp_total = float(_seq_sum(clamp_g))
     round_total = float(_seq_sum(round_g))
     total = clamp_total + round_total
-    return ErrorReport(total / arr.size, clamp_total, round_total, per_group)
+    return ErrorReport(total / arr.size, clamp_total, round_total, clamp_g, round_g)

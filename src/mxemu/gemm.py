@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
+from .quantizer import QuantConfig, QuantizedTensor, dequantize, group_view, quantize
 
 __all__ = ["AccumSpec", "dot", "matmul", "reference_matmul"]
 
@@ -44,8 +44,7 @@ def _check_operand(q: QuantizedTensor, side: str):
 
 
 def _group_size(q: QuantizedTensor) -> int:
-    n = q.codes.shape[-1]
-    return n if q.config.group_size is None else q.config.group_size
+    return group_view(q.codes, q.config.group_size)[2]
 
 
 def _fold(prod: np.ndarray, gs: int, spec: AccumSpec):
@@ -86,9 +85,8 @@ def matmul(
         raise ConfigError("matmul expects 2-D matrices")
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    k = a.shape[1]
-    gs_a = k if cfg_a.group_size is None else cfg_a.group_size
-    gs_b = k if cfg_b.group_size is None else cfg_b.group_size
+    gs_a = group_view(a, cfg_a.group_size)[2]
+    gs_b = group_view(b, cfg_b.group_size, 0)[2]
     if gs_a != gs_b:
         raise ConfigError(f"matmul: group size mismatch {gs_a} vs {gs_b}")
     qa = quantize(a, replace(cfg_a, axis=-1))
@@ -105,9 +103,9 @@ def reference_matmul(a, b, cfg_a: QuantConfig, cfg_b: QuantConfig) -> np.ndarray
     """Dequantize-then-float64 oracle with the same summation order."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    k = a.shape[1]
-    gs = k if cfg_a.group_size is None else cfg_a.group_size
-    da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
+    qa = quantize(a, replace(cfg_a, axis=-1))
+    k, gs = a.shape[1], _group_size(qa)
+    da = dequantize(qa)
     db = dequantize(quantize(b, replace(cfg_b, axis=0)))
     out = np.empty((a.shape[0], b.shape[1]))
     for i in range(a.shape[0]):

@@ -18,14 +18,14 @@ fresh draw than those fitted with 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import formats, scaling
-from .analysis import ErrorReport, GroupError, GroupStats, group_stats
+from .analysis import ErrorReport, GroupStats, group_stats
 from .errors import ConfigError, DataError
-from .quantizer import QuantConfig, _grouped
+from .quantizer import group_view
 
 __all__ = [
     "LloydConfig",
@@ -85,10 +85,15 @@ def asym_grid_codebook(values, fmt=None, scale_mode=None) -> Codebook:
     """
     fmt = fmt or formats.get_format("fp4_e2m1")
     scale_mode = scale_mode or scaling.get_scale_mode("fp8e5m2")
-    pair = scaling.asym_scales(np.asarray(values, dtype=float).ravel(), scale_mode, fmt)
+    vals = np.asarray(values, dtype=float).ravel()
+    if vals.size == 0:
+        raise DataError("asym_grid_codebook: empty values")
+    pos, neg, tensor_scale = scaling.group_scales(vals, scale_mode, fmt, asymmetric=True)
+    if tensor_scale is not None:
+        pos, neg = pos * tensor_scale, neg * tensor_scale
     mags = formats.grid(fmt)
     mags = mags[mags > 0]
-    levels = np.unique(np.concatenate([-mags[::-1] * pair.neg_scale, [0.0], mags * pair.pos_scale]))
+    levels = np.unique(np.concatenate([-mags[::-1] * neg, [0.0], mags * pos]))
     return Codebook(levels)
 
 
@@ -121,21 +126,19 @@ def _minmax(v: np.ndarray) -> np.ndarray:
     return np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo)
 
 
-def cluster_groups(stats: list[GroupStats], cfg: LloydConfig) -> np.ndarray:
+def cluster_groups(stats: GroupStats, cfg: LloydConfig) -> np.ndarray:
     """Cluster groups on normalized (mean, kurtosis); returns a label per group.
 
-    Groups with undefined kurtosis land in a dedicated extra cluster labeled
-    cfg.n_clusters.
+    Groups with undefined (NaN) kurtosis land in a dedicated extra cluster
+    labeled cfg.n_clusters.
     """
-    if not stats:
-        raise DataError("cluster_groups: empty stats list")
-    labels = np.full(len(stats), cfg.n_clusters, dtype=np.int64)
-    defined = [i for i, s in enumerate(stats) if s.kurtosis is not None]
-    if not defined:
+    if stats.mean.size == 0:
+        raise DataError("cluster_groups: no groups")
+    labels = np.full(stats.mean.size, cfg.n_clusters, dtype=np.int64)
+    defined = ~np.isnan(stats.kurtosis)
+    if not defined.any():
         return labels
-    means = np.array([stats[i].mean for i in defined])
-    kurts = np.array([stats[i].kurtosis for i in defined])
-    feats = np.stack([_minmax(means), _minmax(kurts)], axis=1)
+    feats = np.stack([_minmax(stats.mean[defined]), _minmax(stats.kurtosis[defined])], axis=1)
     labels[defined] = _kmeans_1d_features(feats, cfg.n_clusters, cfg.seed)
     return labels
 
@@ -161,8 +164,6 @@ def _starts(s: np.ndarray, cfg: LloydConfig) -> list[np.ndarray]:
     uniq = np.unique(s)
     if uniq.size <= cfg.n_levels:
         # few distinct values: start (and stay) at exact reconstruction
-        if uniq.size == 1:
-            uniq = np.array([uniq[0], uniq[0] + max(abs(uniq[0]), 1.0)])
         return [uniq]
     probe = (np.arange(cfg.n_levels) + 0.5) / cfg.n_levels
     starts = [np.unique(np.quantile(s, probe)), np.unique(s[0] + probe * (s[-1] - s[0]))]
@@ -250,8 +251,7 @@ def reference_quantize(
     arr = np.asarray(x, dtype=float)
     stats = group_stats(arr, group_size, axis)
     labels = cluster_groups(stats, cfg)
-    qcfg = QuantConfig(formats.get_format("fp4_e2m1"), group_size, axis=axis)
-    moved, xg, gs = _grouped(arr, qcfg)
+    moved, xg, gs = group_view(arr, group_size, axis)
     flat_groups = xg.reshape(-1, gs)
     out_groups = np.empty_like(flat_groups)
     for label in np.unique(labels):
@@ -266,11 +266,6 @@ def reference_quantize(
     sq = (flat_groups - out_groups) ** 2
     per_group_sq = np.cumsum(sq, axis=-1)[:, -1]
     total = float(np.cumsum(per_group_sq)[-1])
-    report = ErrorReport(
-        total / arr.size,
-        0.0,
-        total,
-        [GroupError(i, 0.0, float(per_group_sq[i])) for i in range(per_group_sq.size)],
-    )
-    out = out_groups.reshape(xg.shape).reshape(moved.shape)
+    report = ErrorReport(total / arr.size, 0.0, total, np.zeros_like(per_group_sq), per_group_sq)
+    out = out_groups.reshape(moved.shape)
     return np.ascontiguousarray(np.moveaxis(out, -1, axis)), report

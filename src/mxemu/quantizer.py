@@ -15,7 +15,7 @@ dequantized values, regardless of group count or processing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "QuantizedTensor",
     "config",
     "parse_group_size",
+    "group_view",
     "quantize",
     "dequantize",
     "quantize_dequantize",
@@ -112,21 +113,26 @@ def _validate_input(x) -> np.ndarray:
     return arr
 
 
-def _grouped(arr: np.ndarray, cfg: QuantConfig):
-    """Move cfg.axis last and reshape to (..., n_groups, gs)."""
+def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
+    """View arr with axis moved last and split into groups.
+
+    Returns (moved, xg, gs): moved has axis last, xg is moved viewed as
+    (..., n_groups, gs), and gs is the group size, the whole row when
+    group_size is None.
+    """
     try:
-        moved = np.moveaxis(arr, cfg.axis, -1)
+        moved = np.moveaxis(arr, axis, -1)
     except np.exceptions.AxisError:
-        raise ConfigError(f"axis {cfg.axis} out of range for shape {arr.shape}") from None
+        raise ConfigError(f"axis {axis} out of range for shape {arr.shape}") from None
     n = moved.shape[-1]
-    gs = n if cfg.group_size is None else cfg.group_size
+    gs = n if group_size is None else group_size
     if gs <= 0:
         raise ConfigError(f"group size must be positive, got {gs}")
     if n % gs != 0:
         raise ConfigError(
-            f"group size {gs} does not divide extent {n} along axis {cfg.axis}"
+            f"group size {gs} does not divide extent {n} along axis {axis}"
         )
-    return np.ascontiguousarray(moved), moved.reshape(*moved.shape[:-1], n // gs, gs), gs
+    return moved, moved.reshape(*moved.shape[:-1], n // gs, gs), gs
 
 
 def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
@@ -137,39 +143,18 @@ def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
         raise ConfigError(
             f"scale mode {mode.name} requires group size in {scaling.NVFP4_GROUP_SIZES}"
         )
-    moved, xg, gs = _grouped(arr, cfg)
+    moved, xg, _ = group_view(arr, cfg.group_size, cfg.axis)
 
     if cfg.uses_zero_point:
         codes, scales = _quantize_zero_point(xg, cfg)
         return QuantizedTensor(arr.shape, cfg, codes.reshape(moved.shape), scales, None)
 
-    tensor_scale = None
-    if mode.kind == "double":
-        tensor_amax = float(np.abs(arr).max())
-        if cfg.asymmetric:
-            pos_amax = np.maximum(xg.max(-1), 0.0)
-            neg_amax = np.maximum(-xg.min(-1), 0.0)
-            tensor_scale, pos_s = scaling.nvfp4_scales(tensor_amax, pos_amax, cfg.fmt)
-            _, neg_s = scaling.nvfp4_scales(tensor_amax, neg_amax, cfg.fmt)
-        else:
-            amax = np.abs(xg).max(-1)
-            tensor_scale, pos_s = scaling.nvfp4_scales(tensor_amax, amax, cfg.fmt)
-            neg_s = pos_s
-        eff_pos, eff_neg = pos_s * tensor_scale, neg_s * tensor_scale
-    elif cfg.asymmetric:
-        pos_amax = np.maximum(xg.max(-1), 0.0)
-        neg_amax = np.maximum(-xg.min(-1), 0.0)
-        eff_pos = pos_s = scaling.group_scale(pos_amax, mode, cfg.fmt)
-        eff_neg = neg_s = scaling.group_scale(neg_amax, mode, cfg.fmt)
-    else:
-        amax = np.abs(xg).max(-1)
-        eff_pos = pos_s = scaling.group_scale(amax, mode, cfg.fmt)
-        eff_neg = neg_s = pos_s
-
-    sel = np.where(xg >= 0, np.asarray(eff_pos)[..., None], np.asarray(eff_neg)[..., None])
+    pos_s, neg_s, tensor_scale = scaling.group_scales(xg, mode, cfg.fmt, cfg.asymmetric)
+    ts = 1.0 if tensor_scale is None else tensor_scale
+    sel = np.where(xg >= 0, (pos_s * ts)[..., None], (neg_s * ts)[..., None])
     grid_vals = round_to_grid(xg / sel, cfg.fmt)
     codes = formats.encode(grid_vals, cfg.fmt).reshape(moved.shape)
-    scales = np.stack([np.asarray(pos_s, float), np.asarray(neg_s, float)], axis=-1)
+    scales = np.stack([pos_s, neg_s], axis=-1)
     return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale)
 
 
@@ -203,24 +188,20 @@ def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the real tensor: (-1)^s * |grid value| * scale(side)."""
     cfg = q.config
-    moved_shape = q.codes.shape
-    n = moved_shape[-1]
-    gs = n if cfg.group_size is None else cfg.group_size
+    _, cg, _ = group_view(q.codes, cfg.group_size)
 
     if cfg.uses_zero_point:
-        qg = q.codes.reshape(*moved_shape[:-1], n // gs, gs).astype(np.float64)
         scale = q.scales[..., 0][..., None]
         zp = q.scales[..., 1][..., None]
-        vals = (qg - zp) * scale
+        vals = (cg.astype(np.float64) - zp) * scale
     else:
-        vals = formats.decode(q.codes, cfg.fmt)
-        vg = vals.reshape(*moved_shape[:-1], n // gs, gs)
+        vg = formats.decode(cg, cfg.fmt)
         sel = np.where(vg < 0, q.scales[..., 1][..., None], q.scales[..., 0][..., None])
         vals = vg * sel
         if q.tensor_scale is not None:
             vals = vals * q.tensor_scale
 
-    out = vals.reshape(moved_shape)
+    out = vals.reshape(q.codes.shape)
     return np.ascontiguousarray(np.moveaxis(out, -1, cfg.axis))
 
 

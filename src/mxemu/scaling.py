@@ -1,10 +1,17 @@
 """Per-group shared-scale computation for the whole scale-mode design space.
 
-Scalar routines accept either scalars or numpy arrays of group maxima and
-are exact in float64: power-of-two scales are produced through frexp/ldexp
-(never a rounded log2), float-encoded scales land exactly on their encoding
-grid, and a zero group maximum yields a fixed degenerate scale so that
-all-zero groups round-trip without special cases downstream.
+There is one scale path. group_scales takes each side's group amax, the
+|x| maximum for a symmetric group and the positive and negative maxima for
+an asymmetric one, and runs the mode's routine once per side; so symmetric,
+asymmetric and two-level (nvfp4_double) scaling are the same computation
+over one or two sides.
+
+The per-mode routines accept either scalars or numpy arrays of group maxima
+and are exact in float64: power-of-two scales are produced through
+frexp/ldexp (never a rounded log2), float-encoded scales land exactly on
+their encoding grid, and a zero group maximum yields a fixed degenerate
+scale so that all-zero groups and empty sides round-trip without special
+cases downstream.
 """
 
 from __future__ import annotations
@@ -21,14 +28,12 @@ __all__ = [
     "ScaleMode",
     "SCALE_MODES",
     "get_scale_mode",
-    "AsymScalePair",
     "degenerate_scale",
     "pot_floor_scale",
     "pot_round_scale",
     "fp_scale",
     "fp32_scale",
-    "group_scale",
-    "asym_scales",
+    "group_scales",
     "nvfp4_scales",
     "NVFP4_GROUP_SIZES",
 ]
@@ -71,14 +76,6 @@ def get_scale_mode(name: str) -> ScaleMode:
         ) from None
 
 
-@dataclass(frozen=True)
-class AsymScalePair:
-    """Positive/negative shared scales of one group (equal when symmetric)."""
-
-    pos_scale: float
-    neg_scale: float
-
-
 def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
     """Scale assigned to a group whose relevant amax is zero.
 
@@ -87,9 +84,7 @@ def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
     use a fixed small power of two; float-encoded modes use the smallest
     positive value of their encoding grid.
     """
-    if mode.kind == "fp":
-        return formats.min_positive(mode.scale_fmt)
-    if mode.kind == "double":
+    if mode.kind in ("fp", "double"):
         return formats.min_positive(mode.scale_fmt)
     return 2.0 ** (-formats.emax_elem(fmt) - 126)
 
@@ -102,7 +97,7 @@ def _pot_exponents(amax: np.ndarray):
 
 def pot_floor_scale(amax, fmt: ElementFormat):
     """2**(floor(log2(amax)) - emax_elem); degenerate scale for amax == 0."""
-    return _pot_scale(amax, fmt, round_up=False)
+    return _pot_scale(amax, fmt, SCALE_MODES["pot_floor"])
 
 
 def pot_round_scale(amax, fmt: ElementFormat):
@@ -114,24 +109,20 @@ def pot_round_scale(amax, fmt: ElementFormat):
     of already-quantized data scale-stable, which plain log2 rounding does
     not.
     """
-    return _pot_scale(amax, fmt, round_up=True)
+    return _pot_scale(amax, fmt, SCALE_MODES["pot_round"])
 
 
-def _pot_scale(amax, fmt, round_up):
+def _pot_scale(amax, fmt, mode):
     arr = np.asarray(amax, dtype=float)
     _check_amax(arr)
     e = formats.emax_elem(fmt)
     m, e_floor = _pot_exponents(np.where(arr > 0, arr, 1.0))
     exp = e_floor - e
-    if round_up:
+    if mode.kind == "pot_round":
         exp = exp + (m > 0.75)  # frexp mantissa 0.75 == value mantissa 1.5
     exp = np.maximum(exp, -1074)  # stay representable
-    out = np.where(arr > 0, np.ldexp(1.0, exp.astype(np.int64)), _degen_pot(fmt))
+    out = np.where(arr > 0, np.ldexp(1.0, exp.astype(np.int64)), degenerate_scale(mode, fmt))
     return float(out) if np.isscalar(amax) or arr.ndim == 0 else out
-
-
-def _degen_pot(fmt):
-    return 2.0 ** (-formats.emax_elem(fmt) - 126)
 
 
 def _check_amax(arr):
@@ -155,39 +146,38 @@ def fp32_scale(amax, fmt: ElementFormat):
     """Exact (unencoded) max-to-max scale."""
     arr = np.asarray(amax, dtype=float)
     _check_amax(arr)
-    out = np.where(arr > 0, arr / max_normal(fmt), _degen_pot(fmt))
+    out = np.where(arr > 0, arr / max_normal(fmt), degenerate_scale(SCALE_MODES["fp32"], fmt))
     return float(out) if np.isscalar(amax) or arr.ndim == 0 else out
 
 
-def group_scale(amax, mode: ScaleMode, fmt: ElementFormat):
-    """Dispatch a group amax to the mode's scalar routine."""
-    if mode.kind == "pot_floor":
-        return pot_floor_scale(amax, fmt)
-    if mode.kind == "pot_round":
-        return pot_round_scale(amax, fmt)
-    if mode.kind == "fp":
-        return fp_scale(amax, fmt, mode.scale_fmt)
-    if mode.kind == "fp32":
-        return fp32_scale(amax, fmt)
-    raise ConfigError(f"scale mode {mode.name} has no per-group scalar routine")
+def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = False):
+    """Positive and negative shared scales of the groups along xg's last axis.
 
-
-def asym_scales(group, mode: ScaleMode, fmt: ElementFormat) -> AsymScalePair:
-    """Separate positive/negative scales for one group of values.
-
-    pos_scale is computed from max(group + {0}) and neg_scale from
-    |min(group + {0})|; a side with no mass gets the degenerate scale.
+    Each side's group amax goes through the mode's routine once: |x| max
+    when symmetric (both scales are then the same array), max(x, 0) and
+    max(-x, 0) when asymmetric; a side with no mass gets the degenerate
+    scale. Returns (pos_scale, neg_scale, tensor_scale); tensor_scale is the
+    exact tensor-wise scale of the nvfp4_double mode, whose tensor amax is
+    the largest side amax, and None for every other mode.
     """
-    arr = np.asarray(group, dtype=float)
-    if arr.size == 0:
-        raise DataError("asym_scales: empty group")
-    if np.isnan(arr).any():
-        raise DataError("asym_scales: NaN in group")
-    pos_amax = max(float(arr.max()), 0.0)
-    neg_amax = max(float(-arr.min()), 0.0)
-    pos = group_scale(pos_amax, mode, fmt) if pos_amax > 0 else degenerate_scale(mode, fmt)
-    neg = group_scale(neg_amax, mode, fmt) if neg_amax > 0 else degenerate_scale(mode, fmt)
-    return AsymScalePair(float(pos), float(neg))
+    if asymmetric:
+        amaxes = (np.maximum(xg.max(-1), 0.0), np.maximum(-xg.min(-1), 0.0))
+    else:
+        amaxes = (np.abs(xg).max(-1),)
+    if mode.kind == "double":
+        tensor_amax = max(float(a.max()) for a in amaxes)
+        pairs = [nvfp4_scales(tensor_amax, a, fmt) for a in amaxes]
+        return pairs[0][1], pairs[-1][1], pairs[0][0]
+    routine = {
+        "pot_floor": pot_floor_scale,
+        "pot_round": pot_round_scale,
+        "fp": lambda a, f: fp_scale(a, f, mode.scale_fmt),
+        "fp32": fp32_scale,
+    }.get(mode.kind)
+    if routine is None:
+        raise ConfigError(f"scale mode {mode.name} has no scale routine")
+    scales = [routine(a, fmt) for a in amaxes]
+    return scales[0], scales[-1], None
 
 
 def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = None):
@@ -195,7 +185,7 @@ def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = N
 
     tensor_scale = tensor_amax / (448 * max_normal(fmt)); each group scale
     encodes group_amax / (max_normal(fmt) * tensor_scale) on the FP8 E4M3
-    grid. The effective scale of a group is group_scale * tensor_scale.
+    grid. The effective scale of a group is its group scale * tensor_scale.
     """
     fmt = fmt or get_format("fp4_e2m1")
     inner = get_format("fp8_e4m3")
@@ -207,7 +197,9 @@ def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = N
         raise DataError("tensor amax must dominate every group amax")
     mn = max_normal(fmt)
     if tensor_amax == 0:
-        return _degen_pot(fmt), np.full(ga.shape, formats.min_positive(inner))
+        # the tensor-wise scale is exact, so it degenerates as the exact mode does
+        tensor_scale = degenerate_scale(SCALE_MODES["fp32"], fmt)
+        return tensor_scale, np.full(ga.shape, formats.min_positive(inner))
     tensor_scale = tensor_amax / (448.0 * mn)
     ideal = np.where(ga > 0, ga, 1.0) / (mn * tensor_scale)
     enc = round_real_to_fp(ideal, inner)

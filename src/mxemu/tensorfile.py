@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, scaling
+from . import formats
 from .errors import TensorFileError
-from .quantizer import QuantConfig, QuantizedTensor, config
+from .quantizer import QuantizedTensor, config, group_view
 from .scaling import ScaleMode
 
 __all__ = [
@@ -113,6 +113,10 @@ def scale_bits(value: float, mode: ScaleMode, fmt, payload_is_zero_point=False) 
 
 def write_quantized(path, q: QuantizedTensor) -> None:
     cfg = q.config
+    if cfg.fmt.total_bits > 8:
+        raise TensorFileError(
+            f"MXQ1 stores one byte per code; {cfg.fmt.name} has {cfg.fmt.total_bits}-bit codes"
+        )
     buf = io.BytesIO()
     buf.write(_QMAGIC)
     for name in (cfg.fmt.name, cfg.scale_mode.name):
@@ -161,6 +165,5 @@ def read_quantized(path) -> QuantizedTensor:
     for i in range(n_groups):
         pos, neg, _, _ = struct.unpack("<ddII", _read_exact(fh, 24, "scales"))
         scales[i] = (pos, neg)
-    eff_gs = moved_shape[-1] if cfg.group_size is None else cfg.group_size
-    scales = scales.reshape(*moved_shape[:-1], moved_shape[-1] // eff_gs, 2)
+    scales = scales.reshape(*group_view(codes, cfg.group_size)[1].shape[:-1], 2)
     return QuantizedTensor(tuple(shape), cfg, codes, scales, ts if has_ts else None)

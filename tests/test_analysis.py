@@ -11,6 +11,7 @@ from mxemu.analysis import (
     stats_summary,
 )
 from mxemu.errors import ConfigError, DataError
+from mxemu.quantizer import group_view
 
 from conftest import shifted_gaussian
 
@@ -19,37 +20,38 @@ from conftest import shifted_gaussian
 
 def test_alternating_signs():
     stats = group_stats(np.array([1.0, -1.0, 1.0, -1.0]))
-    assert stats[0].mean == 0.0
-    assert stats[0].kurtosis == 1.0
+    assert stats.mean[0] == 0.0
+    assert stats.kurtosis[0] == 1.0
 
 
 def test_constant_group_undefined_kurtosis():
     stats = group_stats(np.full(8, 2.5))
-    assert stats[0].kurtosis is None
+    assert np.isnan(stats.kurtosis[0])
 
 
 def test_gaussian_kurtosis_is_three():
     rng = np.random.default_rng(42)
     stats = group_stats(rng.normal(0, 1, 10**6))
-    assert abs(stats[0].kurtosis - 3.0) < 0.05
+    assert abs(stats.kurtosis[0] - 3.0) < 0.05
 
 
 def test_group_indices_and_count():
     stats = group_stats(np.arange(64.0), group_size=16)
-    assert [s.group_index for s in stats] == [0, 1, 2, 3]
+    assert stats.mean.shape == stats.kurtosis.shape == (4,)
+    np.testing.assert_array_equal(stats.mean, [7.5, 23.5, 39.5, 55.5])  # position is index
 
 
 @given(vals=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=32))
 def test_kurtosis_at_least_one(vals):
     stats = group_stats(np.array(vals))
-    if stats[0].kurtosis is not None:
-        assert stats[0].kurtosis >= 1.0 - 1e-12
+    if not np.isnan(stats.kurtosis[0]):
+        assert stats.kurtosis[0] >= 1.0 - 1e-12
 
 
 def test_sign_symmetric_mean_zero(rng):
     half = rng.normal(0, 1, 16)
     stats = group_stats(np.concatenate([half, -half]))
-    assert abs(stats[0].mean) < 1e-12
+    assert abs(stats.mean[0]) < 1e-12
 
 
 @given(a=st.floats(min_value=0.1, max_value=10),
@@ -57,8 +59,8 @@ def test_sign_symmetric_mean_zero(rng):
 def test_kurtosis_shift_scale_invariance(a, b):
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, 256)
-    k0 = group_stats(x)[0].kurtosis
-    k1 = group_stats(a * x + b)[0].kurtosis
+    k0 = group_stats(x).kurtosis[0]
+    k1 = group_stats(a * x + b).kurtosis[0]
     assert abs(k1 - k0) <= 1e-9 * abs(k0)
 
 
@@ -67,9 +69,33 @@ def test_kurtosis_shift_scale_invariance(a, b):
 def test_mean_equivariance(a, b):
     rng = np.random.default_rng(4)
     x = rng.normal(0, 1, 64)
-    m0 = group_stats(x)[0].mean
-    m1 = group_stats(a * x + b)[0].mean
+    m0 = group_stats(x).mean[0]
+    m1 = group_stats(a * x + b).mean[0]
     assert abs(m1 - (a * m0 + b)) < 1e-9
+
+
+def _loop_group_stats(x, group_size, axis):
+    """The per-group loop that group_stats vectorises, kept as its reference."""
+    _, xg, gs = group_view(np.asarray(x, float), group_size, axis)
+    flat = xg.reshape(-1, gs)
+    mean = flat.mean(axis=1)
+    centered = flat - mean[:, None]
+    sigma = np.sqrt((centered**2).mean(axis=1))
+    kurt = [((centered[i] / sigma[i]) ** 4).mean() if sigma[i] > 0 else np.nan
+            for i in range(flat.shape[0])]
+    return mean, np.array(kurt)
+
+
+@pytest.mark.parametrize("shape,group_size,axis", [
+    ((64, 256), 32, -1), ((64, 256), None, 0), ((256, 64), 16, 0), ((8, 5000), None, -1),
+])
+def test_group_stats_bits_match_per_group_loop(rng, shape, group_size, axis):
+    x = rng.standard_t(3, shape)
+    x[:32, :32] = 1.5  # constant groups where the grouping allows
+    stats = group_stats(x, group_size, axis)
+    mean, kurt = _loop_group_stats(x, group_size, axis)
+    np.testing.assert_array_equal(stats.mean, mean)
+    np.testing.assert_array_equal(stats.kurtosis, kurt)
 
 
 # ---- stats_summary ----------------------------------------------------------
@@ -157,12 +183,11 @@ def _independent_decomposition(x, cfg):
     """Recompute the split from public pieces with the same fold order."""
     from mxemu import quantize, dequantize
     from mxemu.analysis import _clamp_mask
-    from mxemu.quantizer import _grouped
 
     q = quantize(x, cfg)
     y = dequantize(q)
-    _, xg, _ = _grouped(np.asarray(x, float), cfg)
-    _, yg, _ = _grouped(y, cfg)
+    _, xg, _ = group_view(np.asarray(x, float), cfg.group_size, cfg.axis)
+    _, yg, _ = group_view(y, cfg.group_size, cfg.axis)
     sq = (xg - yg) ** 2
     mask = _clamp_mask(q, xg)
     clamp = np.cumsum(np.cumsum(np.where(mask, sq, 0.0), -1)[..., -1].ravel())[-1]
@@ -181,12 +206,12 @@ def test_decomposition_exactness(fmt, mode, rng):
     assert rep.round_sq_error == rnd
     assert rep.clamp_sq_error + rep.round_sq_error == rep.mse * x.size
     assert rep.clamp_sq_error >= 0 and rep.round_sq_error >= 0
-    assert len(rep.per_group) == 32
+    assert rep.clamp_sq_per_group.shape == rep.round_sq_per_group.shape == (32,)
 
 
 def test_clamp_monotonicity_per_group(rng):
     x = rng.normal(0, 3.0, (64, 16))
     rep_f = error_decomposition(x, config("fp4_e2m1", "pot_floor", 16))
     rep_r = error_decomposition(x, config("fp4_e2m1", "pot_round", 16))
-    for gf, gr in zip(rep_f.per_group, rep_r.per_group):
-        assert gr.clamp_sq_error <= gf.clamp_sq_error
+    assert rep_r.clamp_sq_per_group.shape == rep_f.clamp_sq_per_group.shape == (64,)
+    assert np.all(rep_r.clamp_sq_per_group <= rep_f.clamp_sq_per_group)

@@ -55,6 +55,13 @@ def test_levels_stay_in_data_range(rng):
     assert vals.min() <= cb.levels[0] and cb.levels[-1] <= vals.max()
 
 
+@pytest.mark.parametrize("v", [2.0, 0.0, -3.5])
+def test_single_value_pool_gets_one_level(v):
+    cb, trace = lloyd_fit([v] * 5, LloydConfig(n_iters=5))
+    assert v <= cb.levels[0] and cb.levels[-1] <= v
+    assert trace[-1] == 0.0
+
+
 def test_format_grid_init_bounds_format_mse(rng):
     vals = shifted_gaussian(rng, 1, 512).ravel()
     init = asym_grid_codebook(vals)
@@ -79,14 +86,15 @@ def test_determinism(rng):
 # ---- cluster_groups -------------------------------------------------------------
 
 def test_identical_stats_single_cluster():
-    stats = [GroupStats(i, 1.0, 3.0) for i in range(10)]
+    stats = GroupStats(np.full(10, 1.0), np.full(10, 3.0))
     labels = cluster_groups(stats, LloydConfig(n_clusters=4, seed=1))
     assert len(set(labels.tolist())) == 1
 
 
 def test_two_blobs_recovered():
-    stats = [GroupStats(i, -10.0 + 0.01 * i, 1.5) for i in range(20)]
-    stats += [GroupStats(20 + i, 10.0 + 0.01 * i, 9.0) for i in range(20)]
+    i = np.arange(20)
+    stats = GroupStats(np.concatenate([-10.0 + 0.01 * i, 10.0 + 0.01 * i]),
+                       np.repeat([1.5, 9.0], 20))
     labels = cluster_groups(stats, LloydConfig(n_clusters=2, seed=3))
     first, second = set(labels[:20].tolist()), set(labels[20:].tolist())
     assert len(first) == 1 and len(second) == 1 and first != second
@@ -101,7 +109,7 @@ def test_every_group_assigned(rng):
 
 
 def test_undefined_kurtosis_gets_dedicated_cluster():
-    stats = [GroupStats(0, 1.0, None), GroupStats(1, 0.0, 2.0), GroupStats(2, 1.0, 3.0)]
+    stats = GroupStats(np.array([1.0, 0.0, 1.0]), np.array([np.nan, 2.0, 3.0]))
     cfg = LloydConfig(n_clusters=2, seed=0)
     labels = cluster_groups(stats, cfg)
     assert labels[0] == cfg.n_clusters
@@ -164,6 +172,6 @@ def test_error_report_shape(rng):
     x = rng.normal(0, 1, (4, 64))
     out, rep = reference_quantize(x, 16, LloydConfig(n_iters=5))
     assert out.shape == x.shape
-    assert len(rep.per_group) == 16
+    assert rep.clamp_sq_per_group.shape == rep.round_sq_per_group.shape == (16,)
     assert rep.clamp_sq_error == 0.0
     assert rep.round_sq_error == pytest.approx(rep.mse * x.size)

@@ -7,7 +7,15 @@ import mxemu
 from mxemu import config, dequantize, quantize, quantize_dequantize
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import get_format, max_normal
-from mxemu.quantizer import QuantizedTensor
+from mxemu.quantizer import QuantConfig, QuantizedTensor
+from mxemu.scaling import (
+    SCALE_MODES,
+    fp32_scale,
+    fp_scale,
+    nvfp4_scales,
+    pot_floor_scale,
+    pot_round_scale,
+)
 
 from conftest import shifted_gaussian
 
@@ -103,6 +111,42 @@ def test_scale_pair_count():
     q = quantize(np.zeros((4, 64)), config("fp4_e2m1", "pot_floor", 16))
     assert q.scales.shape == (4, 4, 2)
     assert q.n_groups == 16
+
+
+def _side_routine(mode, fmt, tensor_amax):
+    return {
+        "pot_floor": lambda a: pot_floor_scale(a, fmt),
+        "pot_round": lambda a: pot_round_scale(a, fmt),
+        "fp": lambda a: fp_scale(a, fmt, mode.scale_fmt),
+        "fp32": lambda a: fp32_scale(a, fmt),
+        "double": lambda a: nvfp4_scales(tensor_amax, a, fmt)[1],
+    }[mode.kind]
+
+
+@pytest.mark.parametrize("asym", [False, True], ids=["sym", "asym"])
+@pytest.mark.parametrize("mode_name", sorted(SCALE_MODES))
+def test_stored_scales_are_the_side_routine_of_side_amaxes(mode_name, asym):
+    # fixed input with an all-zero group, a one-sided group each way and
+    # groups of mixed sign, so degenerate sides are covered
+    x = np.random.default_rng(11).normal(0.3, 2.0, (6, 64))
+    x[0, :32] = 0.0
+    x[1, 32:] = np.abs(x[1, 32:])
+    x[2, :32] = -np.abs(x[2, :32])
+    mode = SCALE_MODES[mode_name]
+    q = quantize(x, QuantConfig(FP4, 32, mode, asym))
+    xg = x.reshape(6, 2, 32)
+    if asym:
+        pos_amax, neg_amax = np.maximum(xg.max(-1), 0.0), np.maximum(-xg.min(-1), 0.0)
+    else:
+        pos_amax = neg_amax = np.abs(xg).max(-1)
+    tensor_amax = float(np.abs(x).max())
+    routine = _side_routine(mode, FP4, tensor_amax)
+    np.testing.assert_array_equal(q.scales[..., 0], routine(pos_amax))
+    np.testing.assert_array_equal(q.scales[..., 1], routine(neg_amax))
+    if mode.kind == "double":
+        assert q.tensor_scale == nvfp4_scales(tensor_amax, pos_amax, FP4)[0]
+    else:
+        assert q.tensor_scale is None
 
 
 def test_negative_zero_lands_on_positive_side():

@@ -9,12 +9,11 @@ from mxemu.errors import DataError
 from mxemu.formats import get_format, grid, max_normal, min_positive
 from mxemu.scaling import (
     SCALE_MODES,
-    asym_scales,
     degenerate_scale,
     fp32_scale,
     fp_scale,
     get_scale_mode,
-    group_scale,
+    group_scales,
     nvfp4_scales,
     pot_floor_scale,
     pot_round_scale,
@@ -92,20 +91,18 @@ def test_fp_scale_coverage(amax):
 
 def test_asym_scales_fixture():
     x = np.linspace(-4.9, 31, 1024)
-    pair = asym_scales(x, get_scale_mode("pot_floor"), FP4)
-    assert (pair.pos_scale, pair.neg_scale) == (4.0, 1.0)
-    pair = asym_scales(x, get_scale_mode("fp8e5m2"), FP4)
-    assert (pair.pos_scale, pair.neg_scale) == (5.0, 0.875)
+    pos, neg, _ = group_scales(x, get_scale_mode("pot_floor"), FP4, asymmetric=True)
+    assert (pos, neg) == (4.0, 1.0)
+    pos, neg, _ = group_scales(x, get_scale_mode("fp8e5m2"), FP4, asymmetric=True)
+    assert (pos, neg) == (5.0, 0.875)
 
 
 def test_asym_scales_one_sided():
     for mode_name in SCALE_MODES:
-        if mode_name == "nvfp4_double":
-            continue
         mode = get_scale_mode(mode_name)
-        pair = asym_scales([1.0, 2.0, 3.0], mode, FP4)
-        assert pair.neg_scale == degenerate_scale(mode, FP4)
-        assert pair.pos_scale > 0
+        pos, neg, _ = group_scales(np.array([1.0, 2.0, 3.0]), mode, FP4, asymmetric=True)
+        assert neg == degenerate_scale(mode, FP4)
+        assert pos > 0
 
 
 @given(vals=st.lists(st.floats(min_value=-1e6, max_value=1e6,
@@ -113,8 +110,8 @@ def test_asym_scales_one_sided():
 def test_asym_symmetric_consistency(vals):
     x = np.array(vals)
     sym = np.concatenate([x, -x])
-    pair = asym_scales(sym, get_scale_mode("fp8e5m2"), FP4)
-    assert pair.pos_scale == pair.neg_scale
+    pos, neg, _ = group_scales(sym, get_scale_mode("fp8e5m2"), FP4, asymmetric=True)
+    assert pos == neg
 
 
 def test_nvfp4_exact_fixtures():
@@ -144,11 +141,12 @@ def test_fp32_scale_maps_max_to_max(amax):
 
 def test_group_scale_dispatch_matches_scalar_routines():
     a = np.array([0.0, 0.5, 31.0, 4.9])
+    xg = np.stack([a, -a / 2], axis=-1)  # each group's |x| max is a
+    pos, neg, _ = group_scales(xg, get_scale_mode("pot_floor"), FP4)
+    np.testing.assert_array_equal(pos, [pot_floor_scale(v, FP4) for v in a])
+    assert neg is pos
+    pos, neg, _ = group_scales(xg, get_scale_mode("fp8e5m2"), FP4)
     np.testing.assert_array_equal(
-        group_scale(a, get_scale_mode("pot_floor"), FP4),
-        [pot_floor_scale(v, FP4) for v in a],
+        pos, [fp_scale(v, FP4, E5M2) if v > 0 else min_positive(E5M2) for v in a]
     )
-    np.testing.assert_array_equal(
-        group_scale(a, get_scale_mode("fp8e5m2"), FP4),
-        [fp_scale(v, FP4, E5M2) if v > 0 else min_positive(E5M2) for v in a],
-    )
+    assert neg is pos
