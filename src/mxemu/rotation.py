@@ -51,18 +51,22 @@ def make_rotation(dim: int, seed: int) -> RotationSpec:
 
 
 def _fwht(x: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis."""
+    """Unnormalized fast Walsh-Hadamard transform along the last axis.
+
+    Works on one C-ordered copy of x; each butterfly stage writes in place.
+    """
     n = x.shape[-1]
-    out = x.reshape(-1, n).copy()
+    out = np.array(x, order="C")
     h = 1
     while h < n:
         blocks = out.reshape(-1, n // (2 * h), 2, h)
         a = blocks[:, :, 0, :]
         b = blocks[:, :, 1, :]
-        out = np.concatenate([(a + b)[:, :, None, :], (a - b)[:, :, None, :]], axis=2)
-        out = out.reshape(-1, n)
+        s = a + b
+        np.subtract(a, b, out=b)
+        a[...] = s
         h *= 2
-    return out.reshape(x.shape)
+    return out
 
 
 def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import TensorFileError
+from .errors import ConfigError, TensorFileError
 from .quantizer import QuantizedTensor, config, group_view
 from .scaling import ScaleMode
 
@@ -156,14 +156,22 @@ def read_quantized(path) -> QuantizedTensor:
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
     fmt_name = names[0] + ("_asym" if asym else "")
     cfg = config(fmt_name, names[1], None if gs == -1 else gs, axis)
-    count = int(np.prod(shape, dtype=np.int64))
-    codes = np.frombuffer(_read_exact(fh, count, "codes"), dtype=np.uint8)
-    moved_shape = tuple(np.moveaxis(np.empty(shape, dtype=np.uint8), cfg.axis, -1).shape)
-    codes = codes.reshape(moved_shape)
+    try:
+        moved, xg, _ = group_view(np.broadcast_to(np.uint8(0), shape), cfg.group_size, axis)
+    except (ConfigError, ValueError) as exc:  # ValueError: dims too large to index
+        raise TensorFileError(f"{path}: header does not fit shape {shape}: {exc}") from None
+    codes = np.frombuffer(_read_exact(fh, moved.size, "codes"), dtype=np.uint8)
+    codes = codes.reshape(moved.shape)
     (n_groups,) = struct.unpack("<Q", _read_exact(fh, 8, "group count"))
+    groups = xg.shape[:-1]
+    if n_groups != math.prod(groups):
+        raise TensorFileError(
+            f"{path}: group count {n_groups} != {math.prod(groups)} for shape {shape} "
+            f"and group size {xg.shape[-1]}"
+        )
     scales = np.empty((n_groups, 2))
     for i in range(n_groups):
         pos, neg, _, _ = struct.unpack("<ddII", _read_exact(fh, 24, "scales"))
         scales[i] = (pos, neg)
-    scales = scales.reshape(*group_view(codes, cfg.group_size)[1].shape[:-1], 2)
+    scales = scales.reshape(*groups, 2)
     return QuantizedTensor(tuple(shape), cfg, codes, scales, ts if has_ts else None)

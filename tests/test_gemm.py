@@ -1,9 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mxemu import config, dequantize, quantize
 from mxemu.errors import ConfigError
+from mxemu import gemm
 from mxemu.gemm import AccumSpec, dot, matmul, reference_matmul
+from mxemu.rotation import make_rotation, rotate
 
 
 def python_dot_oracle(da, db, gs):
@@ -57,6 +62,17 @@ def test_dot_rejects_zero_point_int(rng):
     b = quantize(rng.normal(0, 1, 32), AMX)
     with pytest.raises(ConfigError, match="zero-point"):
         dot(a, b)
+
+
+def test_matmul_rejects_zero_point_before_quantizing(monkeypatch):
+    def no_quantize(*args):
+        raise AssertionError("a rejected operand was quantized")
+
+    monkeypatch.setattr(gemm, "quantize", no_quantize)
+    zp = config("int4_asym", "fp8e5m2", 32)
+    for cfg_a, cfg_b, side in ((zp, AMX, "lhs"), (AMX, zp, "rhs")):
+        with pytest.raises(ConfigError, match=f"{side}: zero-point"):
+            matmul(np.ones((2, 32)), np.ones((32, 2)), cfg_a, cfg_b)
 
 
 def test_symmetric_int_dot_supported(rng):
@@ -140,3 +156,74 @@ def test_nvfp4_dot_matches_oracle(rng):
     xa, xb = rng.normal(0.5, 1, 64), rng.normal(0, 1, 64)
     qa, qb = quantize(xa, cfg), quantize(xb, cfg)
     assert dot(qa, qb) == python_dot_oracle(dequantize(qa), dequantize(qb), 16)
+
+
+def python_matmul_oracle(da, db, gs, dtype):
+    """Ordered fold of every output entry with each term and partial in dtype."""
+    out = np.empty((da.shape[0], db.shape[1]), dtype=dtype)
+    for i in range(da.shape[0]):
+        for j in range(db.shape[1]):
+            acc = None
+            for g0 in range(0, da.shape[1], gs):
+                part = None
+                for t in range(g0, g0 + gs):
+                    term = dtype(float(da[i, t]) * float(db[t, j]))
+                    part = term if part is None else dtype(part + term)
+                acc = part if acc is None else dtype(acc + part)
+            out[i, j] = acc
+    return out
+
+
+def test_matmul_float32_matches_ordered_oracle(rng):
+    a = rng.normal(0.2, 1, (6, 96))
+    b = rng.normal(-0.1, 1, (96, 5))
+    cfg_b = config("fp8_e4m3", "pot_floor", 32)
+    out = matmul(a, b, AMX, cfg_b, AccumSpec("float32"))
+    da = dequantize(quantize(a, AMX))
+    db = dequantize(quantize(b, config("fp8_e4m3", "pot_floor", 32, axis=0)))
+    expect = python_matmul_oracle(da, db, 32, np.float32)
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.view(np.uint32), expect.view(np.uint32))
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_matmul_zero_row_keeps_negative_zero(accum):
+    b = -np.ones((64, 3))
+    out = matmul(np.zeros((1, 64)), b, AMX, AMX, AccumSpec(accum))
+    assert np.all(out == 0.0) and np.all(np.signbit(out))
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_matmul_memory_stays_below_the_product_tensor(accum):
+    m, k, n = 64, 2048, 64
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(0, 1, (m, k)), rng.normal(0, 1, (k, n))
+    tracemalloc.start()
+    try:
+        matmul(a, b, AMX, AMX, AccumSpec(accum))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * k * 8 / 4
+
+
+# SHA-256 of the full output bytes on a fixed input (32x512 @ 512x16).
+PINNED_MATMUL = {
+    "rotated_amxfp4_f64": "cfb6cb4466d3326b229e2ce0ad46c2ebc8ec4657c3958d0b8a2b17e6c91cfe59",
+    "mxfp8_f32": "780747f375fde43793c593d1e3721145706a245ee68b0b243128fbedd5102994",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MATMUL))
+def test_matmul_output_bits_pinned(case):
+    rng = np.random.default_rng(11)
+    a = rng.normal(0.1, 1, (32, 512))
+    b = rng.normal(-0.05, 0.5, (512, 16))
+    if case == "rotated_amxfp4_f64":
+        rot = make_rotation(512, 5)
+        out = matmul(rotate(a, rot), rotate(b, rot, axis=0), AMX, AMX)
+    else:
+        cfg = config("fp8_e4m3", "pot_floor", 32)
+        out = matmul(a, b, cfg, cfg, AccumSpec("float32"))
+    assert out.shape == (32, 16)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_MATMUL[case]

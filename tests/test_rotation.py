@@ -101,6 +101,16 @@ def test_axis_zero():
     np.testing.assert_allclose(y, rotation_matrix(spec) @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize("axis", [-1, 0])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_rotate_leaves_input_unchanged(rng, axis, transpose):
+    x = rng.normal(0, 1, (16, 16))
+    before = x.copy()
+    y = rotate(x, make_rotation(16, 4), axis=axis, transpose=transpose)
+    np.testing.assert_array_equal(x, before)
+    assert not np.shares_memory(x, y)
+
+
 def test_one_hot_spike_flattens():
     x = np.zeros(64)
     x[19] = 8.0
