@@ -7,6 +7,19 @@ grid is round-to-nearest with ties broken toward the even mantissa code
 (even integer value for INT grids), and magnitudes beyond the largest grid
 value clamp to it.
 
+One kernel, round_to_codes, rounds straight to packed codes (sign bit |
+magnitude bits); round_to_grid, round_real_to_fp and decode then gather
+from a table of the signed value of every code, and encode is the kernel
+plus an on-grid check. For float formats with subnormals and M >= 1
+mantissa bits the kernel is arithmetic, as in the OCP MX spec: it clamps
+the magnitude a at max_normal, takes the binade e = floor(log2 a) from
+frexp, held at the subnormal floor emin = 1 - bias, rounds the mantissa
+q = rint(a * 2**(M - e)) (q = 2**(M+1) is the carry into the next binade)
+and returns the magnitude code ((e - emin) << M) + q, as code order is
+magnitude order. The code's low M bits are q's, so rint's ties-to-even q
+is the even mantissa code. INT formats use rint(a); other formats search
+the magnitudes, ties going to the even table index.
+
 Grids are built once per format and cached; all operations are pure.
 """
 
@@ -31,6 +44,7 @@ __all__ = [
     "max_normal",
     "min_positive",
     "emax_elem",
+    "round_to_codes",
     "round_to_grid",
     "round_real_to_fp",
     "encode",
@@ -80,52 +94,34 @@ class ElementFormat:
 def _float_magnitudes(fmt: ElementFormat):
     """Magnitudes in code order: (mag values, magnitude code bits)."""
     E, M, bias = fmt.exponent_bits, fmt.mantissa_bits, fmt.bias
-    mags, codes = [0.0], [0]
-    for e in range(2**E):
-        for m in range(2**M):
-            if e == 0:
-                if m == 0:
-                    continue
-                if not fmt.has_subnormals:
-                    continue
-                v = (m / 2**M) * 2.0 ** (1 - bias)
-            else:
-                if fmt.reserved == "ieee" and e == 2**E - 1:
-                    continue
-                if fmt.reserved == "fn" and e == 2**E - 1 and m == 2**M - 1:
-                    continue
-                v = (1 + m / 2**M) * 2.0 ** (e - bias)
-            mags.append(v)
-            codes.append((e << M) | m)
-    return np.array(mags), np.array(codes, dtype=np.uint32)
+    codes = np.arange(2 ** (E + M), dtype=np.uint32)
+    e, m = codes >> M, codes & (2**M - 1)
+    mags = np.ldexp(np.where(e > 0, m + 2**M, m), np.maximum(e, 1).astype(int) - bias - M)
+    keep = (e > 0) | (m == 0) | fmt.has_subnormals
+    if fmt.reserved != "all":  # "ieee" drops the top binade, "fn" only its last code
+        keep &= (e < 2**E - 1) if fmt.reserved == "ieee" else (codes < codes[-1])
+    return mags[keep], codes[keep]
 
 
 @lru_cache(maxsize=None)
 def _tables(fmt: ElementFormat):
     """Per-format lookup tables.
 
-    Returns (signed grid, tie parity per grid entry, magnitudes in ascending
-    order, magnitude code bits aligned with the magnitudes).
+    Returns (signed grid ascending, magnitudes ascending, magnitude code bits
+    aligned with the magnitudes, signed value of every packed code with NaN
+    for codes that name no finite value).
     """
     if fmt.kind == "float":
         mags, codes = _float_magnitudes(fmt)
-        # code order is already magnitude order for FP layouts
-        parity_mag = np.arange(len(mags)) % 2  # == mantissa-code parity for M >= 1
-    elif fmt.kind == "int":
-        top = 2 ** (fmt.total_bits - 1) - 1
-        mags = np.arange(0, top + 1, dtype=float)
-        codes = np.arange(0, top + 1, dtype=np.uint32)
-        parity_mag = (np.arange(len(mags)) % 2).astype(np.int64)
-    elif fmt.kind == "codebook":
-        mags = np.array(fmt.codebook, dtype=float)
+    elif fmt.kind in ("int", "codebook"):  # the magnitude code is the table index
+        top = 2.0 ** (fmt.total_bits - 1)
+        mags = np.array(fmt.codebook, dtype=float) if fmt.kind == "codebook" else np.arange(top)
         codes = np.arange(len(mags), dtype=np.uint32)
-        parity_mag = np.arange(len(mags)) % 2
     else:
         raise ConfigError(f"unknown format kind {fmt.kind!r}")
-
-    signed = np.concatenate([-mags[1:][::-1], mags])
-    parity = np.concatenate([parity_mag[1:][::-1], parity_mag])
-    return signed, parity, mags, codes
+    lut = np.full(1 << (fmt.total_bits - 1), np.nan)
+    lut[codes] = mags
+    return np.concatenate([-mags[:0:-1], mags]), mags, codes, np.concatenate([lut, -lut])
 
 
 _BASE_FORMATS = [
@@ -144,13 +140,7 @@ FORMATS: dict[str, ElementFormat] = {f.name: f for f in _BASE_FORMATS}
 # Names accepted as element formats in quantization configs ("fp16" is a
 # shared-scale encoding only).
 ELEMENT_FORMAT_NAMES = (
-    "fp4_e2m1",
-    "fp6_e3m2",
-    "fp6_e2m3",
-    "fp8_e4m3",
-    "fp8_e5m2",
-    "int4",
-    "int8",
+    "fp4_e2m1", "fp6_e3m2", "fp6_e2m3", "fp8_e4m3", "fp8_e5m2", "int4", "int8",
 )
 
 
@@ -170,15 +160,11 @@ def parse_format(name: str) -> tuple[ElementFormat, bool]:
     """
     asym = name.endswith("_asym")
     base = name[: -len("_asym")] if asym else name
-    if base not in ELEMENT_FORMAT_NAMES and base not in FORMATS:
-        valid = [n for n in ELEMENT_FORMAT_NAMES] + sorted(
-            n for n in FORMATS if FORMATS[n].kind == "codebook"
-        )
-        raise ConfigError(
-            f"unsupported format {name!r}; valid names: "
-            + ", ".join(valid)
-            + " (append '_asym' for asymmetric scaling)"
-        )
+    if base not in FORMATS:
+        books = sorted(n for n, f in FORMATS.items() if f.kind == "codebook")
+        valid = [*ELEMENT_FORMAT_NAMES, *books]
+        raise ConfigError(f"unsupported format {name!r}; valid names: {', '.join(valid)} "
+                          "(append '_asym' for asymmetric scaling)")
     fmt = FORMATS[base]
     if fmt.name == "fp16":
         raise ConfigError("fp16 is a shared-scale encoding, not an element format")
@@ -209,17 +195,48 @@ def grid(fmt: ElementFormat) -> np.ndarray:
 
 
 def max_normal(fmt: ElementFormat) -> float:
-    return float(_tables(fmt)[2][-1])
+    return float(_tables(fmt)[1][-1])
 
 
 def min_positive(fmt: ElementFormat) -> float:
     """Smallest positive representable value (subnormal when available)."""
-    return float(_tables(fmt)[2][1])
+    return float(_tables(fmt)[1][1])
 
 
 def emax_elem(fmt: ElementFormat) -> int:
     """Exponent of the largest grid magnitude: floor(log2(max_normal))."""
     return math.frexp(max_normal(fmt))[1] - 1
+
+
+def round_to_codes(v, fmt: ElementFormat) -> np.ndarray:
+    """Round value(s) to the nearest grid point of fmt, as packed element codes.
+
+    Magnitudes beyond max_normal (and NaN) take the code of max_normal; ties
+    take the even mantissa code; the sign bit is set only on nonzero codes
+    of negative values, so -0.0 and values that round to zero give code 0.
+    """
+    _, mags, mcodes, _ = _tables(fmt)
+    arr = np.asarray(v, dtype=float)
+    a = np.abs(arr, out=np.empty(arr.shape))
+    np.fmin(a, mags[-1], out=a)
+    M, bias = fmt.mantissa_bits, fmt.bias
+    if fmt.kind == "float" and fmt.has_subnormals and M >= 1:
+        # s = M - e (frexp's exponent is e + 1), q = rint(a * 2**s) in place,
+        # then the code ((e - emin) << M) + q; see the module docstring
+        s = M + 1 - np.frexp(np.fmax(a, 2.0 ** (1 - bias)))[1]
+        np.rint(np.ldexp(a, s, out=a), out=a)
+        a += (M + bias - 1 - s) << M
+    elif fmt.kind == "int":
+        np.rint(a, out=a)
+    else:
+        hi = np.minimum(np.searchsorted(mags, a), len(mags) - 1)
+        lo = np.maximum(hi - 1, 0)
+        d_lo, d_hi = a - mags[lo], mags[hi] - a
+        take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
+        a = mcodes[np.where(take_hi, hi, lo)]
+    codes = a.astype(np.uint8 if fmt.total_bits <= 8 else np.uint16)
+    codes |= ((arr < 0) & (codes != 0)).astype(codes.dtype) << (fmt.total_bits - 1)
+    return codes[()]  # a numpy scalar for 0-d input
 
 
 def round_to_grid(v, fmt: ElementFormat):
@@ -228,26 +245,11 @@ def round_to_grid(v, fmt: ElementFormat):
     Magnitudes beyond max_normal clamp to +/- max_normal. Exact midpoints
     resolve to the neighbor with the even mantissa code. NaN is rejected.
     """
-    signed, parity, _, _ = _tables(fmt)
     arr = np.asarray(v, dtype=float)
     if np.isnan(arr).any():
         raise DataError("cannot round NaN to a value grid")
-    out = _round_signed(arr, signed, parity)
+    out = _tables(fmt)[3][round_to_codes(arr, fmt)]
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
-
-
-def _round_signed(arr, signed, parity):
-    shape = arr.shape
-    flat = arr.ravel()
-    hi = np.searchsorted(signed, flat)
-    hi = np.clip(hi, 0, len(signed) - 1)
-    lo = np.clip(hi - 1, 0, len(signed) - 1)
-    d_lo = flat - signed[lo]
-    d_hi = signed[hi] - flat
-    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (parity[hi] == 0))
-    out = np.where(take_hi, signed[hi], signed[lo])
-    np.clip(out, signed[0], signed[-1], out=out)
-    return out.reshape(shape)
 
 
 def round_real_to_fp(v, fmt: ElementFormat):
@@ -260,7 +262,7 @@ def round_real_to_fp(v, fmt: ElementFormat):
     arr = np.asarray(v, dtype=float)
     if np.isnan(arr).any() or (arr <= 0).any():
         raise DataError("scale encoding requires positive finite input")
-    out = _round_signed(arr, *_tables(fmt)[:2])
+    out = _tables(fmt)[3][round_to_codes(arr, fmt)]
     out = np.where(out == 0.0, min_positive(fmt), out)
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
 
@@ -270,29 +272,20 @@ def encode(values, fmt: ElementFormat) -> np.ndarray:
 
     Input must already lie on the grid (i.e. come out of round_to_grid).
     """
-    _, _, mags, codes = _tables(fmt)
     arr = np.asarray(values, dtype=float)
-    mag = np.abs(arr)
-    idx = np.searchsorted(mags, mag)
-    idx = np.clip(idx, 0, len(mags) - 1)
-    if not np.array_equal(mags[idx], mag):
+    codes = round_to_codes(arr, fmt)
+    if not np.array_equal(_tables(fmt)[3][codes], arr):
         raise DataError("encode() requires on-grid values")
-    sign = (np.signbit(arr) & (mag > 0)).astype(np.uint32)
-    nbits = fmt.total_bits - 1
-    packed = (sign << nbits) | codes[idx]
-    return packed.astype(np.uint8 if fmt.total_bits <= 8 else np.uint16)
+    return codes
 
 
 def decode(codes, fmt: ElementFormat) -> np.ndarray:
     """Inverse of encode: packed element codes back to float64 grid values."""
-    _, _, mags, mcodes = _tables(fmt)
-    nbits = fmt.total_bits - 1
-    arr = np.asarray(codes).astype(np.uint32)
-    sign = arr >> nbits
-    magbits = arr & ((1 << nbits) - 1)
-    lut = np.full(1 << nbits, np.nan)
-    lut[mcodes] = mags
-    vals = lut[magbits]
-    if np.isnan(vals).any():
+    lut = _tables(fmt)[3]
+    arr = np.asarray(codes)
+    if arr.dtype.kind not in "ui" or arr.size and (arr.min() < 0 or arr.max() >= len(lut)):
+        raise DataError(f"{fmt.name} codes must be integers that lie in [0, {len(lut)})")
+    vals = lut[arr]
+    if np.isnan(lut).any() and np.isnan(vals).any():
         raise DataError(f"invalid {fmt.name} code in input")
-    return np.where(sign == 1, -vals, vals)
+    return vals

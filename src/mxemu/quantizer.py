@@ -21,7 +21,7 @@ import numpy as np
 
 from . import formats, scaling
 from .errors import ConfigError, DataError
-from .formats import ElementFormat, round_to_grid
+from .formats import ElementFormat
 from .scaling import ScaleMode, get_scale_mode
 
 __all__ = [
@@ -151,9 +151,10 @@ def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
 
     pos_s, neg_s, tensor_scale = scaling.group_scales(xg, mode, cfg.fmt, cfg.asymmetric)
     ts = 1.0 if tensor_scale is None else tensor_scale
-    sel = np.where(xg >= 0, (pos_s * ts)[..., None], (neg_s * ts)[..., None])
-    grid_vals = round_to_grid(xg / sel, cfg.fmt)
-    codes = formats.encode(grid_vals, cfg.fmt).reshape(moved.shape)
+    sel = (pos_s * ts)[..., None]
+    if cfg.asymmetric:
+        sel = np.where(xg >= 0, sel, (neg_s * ts)[..., None])
+    codes = formats.round_to_codes(xg / sel, cfg.fmt).reshape(moved.shape)
     scales = np.stack([pos_s, neg_s], axis=-1)
     return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale)
 
@@ -196,7 +197,9 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
         vals = (cg.astype(np.float64) - zp) * scale
     else:
         vg = formats.decode(cg, cfg.fmt)
-        sel = np.where(vg < 0, q.scales[..., 1][..., None], q.scales[..., 0][..., None])
+        sel = q.scales[..., 0][..., None]
+        if cfg.asymmetric:
+            sel = np.where(vg < 0, q.scales[..., 1][..., None], sel)
         vals = vg * sel
         if q.tensor_scale is not None:
             vals = vals * q.tensor_scale

@@ -35,6 +35,8 @@ __all__ = [
 _MAGIC = b"MXT1"
 _QMAGIC = b"MXQ1"
 _DTYPE_F32 = 0
+# one MXQ1 scale record: the scale pair and their 32-bit audit words
+_SCALE_RECORD = np.dtype([("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nbits", "<u4")])
 
 
 def write_tensor(path, array) -> None:
@@ -94,21 +96,23 @@ def _read_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def scale_bits(value: float, mode: ScaleMode, fmt, payload_is_zero_point=False) -> int:
-    """Encoded representation of a stored scale, for audit.
+def scale_bits(values, mode: ScaleMode, fmt, payload_is_zero_point=False) -> np.ndarray:
+    """32-bit audit words of stored scales, as uint32.
 
     PoT modes store the biased shared exponent; float-encoded modes store
     the element code on the scale grid; exact modes store the binary32 bit
-    pattern; zero-point payloads store the integer zero point.
+    pattern; zero-point payloads store the zero point as a signed int32.
     """
+    arr = np.asarray(values, dtype=float)
     if payload_is_zero_point:
-        return int(value)
+        if not ((arr >= -2**31) & (arr < 2**31)).all():
+            raise TensorFileError("zero point outside the signed 32-bit range")
+        return arr.astype(np.int32).view(np.uint32)
     if mode.kind in ("pot_floor", "pot_round"):
-        e = math.frexp(value)[1] - 1
-        return int(min(max(e + 127, 0), 255))
+        return np.clip(np.frexp(arr)[1] + 126, 0, 255).astype(np.uint32)
     if mode.kind in ("fp", "double"):
-        return int(formats.encode(value, mode.scale_fmt))
-    return int(np.float32(value).view(np.uint32))
+        return formats.encode(arr, mode.scale_fmt).astype(np.uint32)
+    return arr.astype(np.float32).view(np.uint32)
 
 
 def write_quantized(path, q: QuantizedTensor) -> None:
@@ -132,12 +136,11 @@ def write_quantized(path, q: QuantizedTensor) -> None:
     buf.write(q.codes.astype(np.uint8).tobytes(order="C"))
     flat_scales = q.scales.reshape(-1, 2)
     buf.write(struct.pack("<Q", flat_scales.shape[0]))
-    zp = cfg.uses_zero_point
-    for pos, neg in flat_scales:
-        buf.write(struct.pack("<ddII",
-                              pos, neg,
-                              scale_bits(pos, cfg.scale_mode, cfg.fmt),
-                              scale_bits(neg, cfg.scale_mode, cfg.fmt, payload_is_zero_point=zp)))
+    rec = np.empty(flat_scales.shape[0], dtype=_SCALE_RECORD)
+    rec["pos"], rec["neg"] = flat_scales[:, 0], flat_scales[:, 1]
+    rec["pbits"] = scale_bits(rec["pos"], cfg.scale_mode, cfg.fmt)
+    rec["nbits"] = scale_bits(rec["neg"], cfg.scale_mode, cfg.fmt, cfg.uses_zero_point)
+    buf.write(rec.tobytes())
     Path(path).write_bytes(buf.getvalue())
 
 
@@ -149,13 +152,16 @@ def read_quantized(path) -> QuantizedTensor:
     names = []
     for what in ("format name", "scale mode"):
         (ln,) = struct.unpack("<B", _read_exact(fh, 1, what))
-        names.append(_read_exact(fh, ln, what).decode())
+        names.append(_read_exact(fh, ln, what))
     gs, axis, asym = struct.unpack("<qqB", _read_exact(fh, 17, "config"))
     has_ts, ts = struct.unpack("<Bd", _read_exact(fh, 9, "tensor scale"))
     (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
-    fmt_name = names[0] + ("_asym" if asym else "")
-    cfg = config(fmt_name, names[1], None if gs == -1 else gs, axis)
+    try:
+        fmt_name = names[0].decode() + ("_asym" if asym else "")
+        cfg = config(fmt_name, names[1].decode(), None if gs == -1 else gs, axis)
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise TensorFileError(f"{path}: bad config names in header: {exc}") from None
     try:
         moved, xg, _ = group_view(np.broadcast_to(np.uint8(0), shape), cfg.group_size, axis)
     except (ConfigError, ValueError) as exc:  # ValueError: dims too large to index
@@ -169,9 +175,7 @@ def read_quantized(path) -> QuantizedTensor:
             f"{path}: group count {n_groups} != {math.prod(groups)} for shape {shape} "
             f"and group size {xg.shape[-1]}"
         )
-    scales = np.empty((n_groups, 2))
-    for i in range(n_groups):
-        pos, neg, _, _ = struct.unpack("<ddII", _read_exact(fh, 24, "scales"))
-        scales[i] = (pos, neg)
-    scales = scales.reshape(*groups, 2)
+    rec = np.frombuffer(_read_exact(fh, _SCALE_RECORD.itemsize * n_groups, "scales"),
+                        dtype=_SCALE_RECORD)
+    scales = np.stack([rec["pos"], rec["neg"]], axis=-1).reshape(*groups, 2)
     return QuantizedTensor(tuple(shape), cfg, codes, scales, ts if has_ts else None)

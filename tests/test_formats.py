@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ def mantissa_parity(mag, fmt):
     """Mantissa code parity derived from the format definition itself."""
     if fmt.kind == "int":
         return int(mag) % 2
+    if fmt.kind == "codebook":
+        return fmt.codebook.index(mag) % 2  # the magnitude code is the table index
     if mag == 0:
         return 0
     e = math.frexp(mag)[1] - 1
@@ -47,10 +50,15 @@ def mantissa_parity(mag, fmt):
     return m % 2
 
 
+@functools.lru_cache(maxsize=None)
+def grid_parity(fmt):
+    return np.array([mantissa_parity(abs(x), fmt) for x in grid(fmt)])
+
+
 def brute_force_nearest(v, fmt):
     """Independent oracle: full distance scan, ties to even mantissa code."""
     g = grid(fmt)
-    parity = np.array([mantissa_parity(abs(x), fmt) for x in g])
+    parity = grid_parity(fmt)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     out = np.empty_like(v)
     for start in range(0, len(v), 4096):
@@ -249,3 +257,60 @@ def test_custom_codebook_roundtrip():
         np.testing.assert_array_equal(decode(encode(g, fmt), fmt), g)
     finally:
         formats.FORMATS.pop("demo_cb", None)
+
+
+def test_decode_rejects_codes_wider_than_the_format():
+    for codes, fmt in ((np.array([200]), FP4), (np.array([0x88], np.uint8), FP4),
+                       (np.array([300]), get_format("int8")), (np.array([-1]), FP4)):
+        with pytest.raises(DataError, match="codes must be integers that lie in"):
+            decode(codes, fmt)
+    np.testing.assert_array_equal(decode(np.array([15, 8, 0], np.uint8), FP4), [-6.0, -0.0, 0.0])
+
+
+# ---- the rounding kernel's contract ---------------------------------------
+
+def _contract_codebook():
+    fmt = register_codebook_format("contract_cb", [0.3, 0.5, 1.0, 1.7, 2.5, 4.0, 9.0])
+    formats.FORMATS.pop(fmt.name)  # leave the registry as the other tests expect it
+    return fmt
+
+
+CONTRACT_FORMATS = ALL_FORMATS + [FP16, _contract_codebook()]
+
+
+@functools.lru_cache(maxsize=None)
+def contract_values(fmt):
+    """Midpoints and their float64 neighbours, subnormals, +/-max and beyond,
+    +/-0.0 and every float64 power of two, with either sign."""
+    g = grid(fmt)
+    mids = st.sampled_from((g[1:] + g[:-1]) / 2)
+    mx = max_normal(fmt)
+    below_normal = 2.0 ** (1 - fmt.bias) if fmt.kind == "float" else 2 * min_positive(fmt)
+    mag = st.one_of(
+        mids,
+        mids.map(lambda m: np.nextafter(m, np.inf)),
+        mids.map(lambda m: np.nextafter(m, -np.inf)),
+        st.floats(0.0, below_normal),
+        st.sampled_from([mx, np.nextafter(mx, np.inf), 1.5 * mx, 0.0]),
+        st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+    )
+    return st.tuples(mag, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@pytest.mark.parametrize("fmt", CONTRACT_FORMATS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_kernel_matches_the_brute_force_oracle(fmt, data):
+    v = np.array(data.draw(st.lists(contract_values(fmt), min_size=1, max_size=16)))
+    pos = np.abs(v[v != 0])
+    # every |v| > max_normal rounds to +/-max_normal; past 2 * max_normal the
+    # oracle's float64 distances to the grid stop telling its points apart
+    mx = max_normal(fmt)
+    want = brute_force_nearest(np.clip(np.concatenate([v, pos]), -2 * mx, 2 * mx), fmt)
+    want, want_pos = want[: v.size], want[v.size :]
+    got = round_to_grid(v, fmt)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))  # +0.0, never -0.0
+    np.testing.assert_array_equal(formats.round_to_codes(v, fmt), encode(got, fmt))
+    back = decode(encode(got, fmt), fmt)
+    np.testing.assert_array_equal(back.view(np.uint64), got.view(np.uint64))
+    want_pos[want_pos == 0] = min_positive(fmt)
+    np.testing.assert_array_equal(round_real_to_fp(pos, fmt), want_pos)

@@ -1,9 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from mxemu import config, quantize
+from mxemu import config, dequantize, quantize
 from mxemu.errors import TensorFileError
 from mxemu.formats import register_codebook_format
 from mxemu.tensorfile import read_quantized, write_quantized
@@ -48,3 +49,52 @@ def test_mxq1_header_must_fit_the_shape(tmp_path, rng, field, value):
     path.write_bytes(bytes(data))
     with pytest.raises(TensorFileError):
         read_quantized(path)
+
+
+def test_mxq1_round_trip_with_negative_zero_points(tmp_path, rng):
+    q = quantize(np.abs(rng.normal(0, 1, (4, 64))) + 1, config("int4_asym", "pot_floor", 32))
+    assert q.scales[..., 1].max() < 0  # all-positive groups put the zero point below 0
+    write_quantized(tmp_path / "x.mxq", q)
+    back = read_quantized(tmp_path / "x.mxq")
+    np.testing.assert_array_equal(back.codes, q.codes)
+    np.testing.assert_array_equal(back.scales, q.scales)
+    np.testing.assert_array_equal(dequantize(back), dequantize(q))
+
+
+def test_mxq1_rejects_zero_points_outside_int32(tmp_path, rng):
+    q = quantize(rng.normal(0, 1, (4, 64)), config("int4_asym", "pot_floor", 32))
+    q.scales[1, 0, 1] = -2.0**31 - 1
+    with pytest.raises(TensorFileError, match="zero point"):
+        write_quantized(tmp_path / "x.mxq", q)
+
+
+# SHA-256 of files written by the per-group struct writer this format started with
+MXQ1_SHA256 = {
+    ("fp4_e2m1", "pot_floor", 32):
+        "3dd2f53d27121a8115a1459743ef7a188e1cf24891fa29a21528b8e6b42bd77b",
+    ("fp4_e2m1_asym", "fp8e5m2", 32):
+        "9a0f0ea14c0526b9d9e63d7c193e7ce7adbcda1aea668e9b0b629410fd0bde30",
+    ("fp4_e2m1", "nvfp4_double", 16):
+        "f30ccecc079d3a3305c1ef14b977912528f4f66a63afb41b5245b97e4422ab23",
+    ("int4_asym", "pot_floor", 32):
+        "26c47d09a6496589d68d8ece022f38d0d7291857126401d5b78d884d63daed2b",
+}
+
+
+@pytest.mark.parametrize("cfg", sorted(MXQ1_SHA256), ids=lambda c: "/".join(map(str, c)))
+def test_mxq1_files_keep_their_bytes(tmp_path, rng, cfg):
+    q = quantize(rng.normal(0, 1, (4, 64)), config(*cfg))
+    write_quantized(tmp_path / "x.mxq", q)
+    assert hashlib.sha256((tmp_path / "x.mxq").read_bytes()).hexdigest() == MXQ1_SHA256[cfg]
+
+
+@pytest.mark.parametrize("byte", [ord("z"), 0xFF])
+def test_mxq1_damaged_scale_mode_name(tmp_path, rng, byte):
+    cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
+    write_quantized(tmp_path / "x.mxq", quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray((tmp_path / "x.mxq").read_bytes())
+    at = data.index(b"fp8e5m2")
+    data[at] = byte
+    (tmp_path / "x.mxq").write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match="bad config names"):
+        read_quantized(tmp_path / "x.mxq")
