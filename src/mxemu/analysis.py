@@ -8,8 +8,9 @@ correction, so any distribution is bounded below by 1 and a Gaussian sits
 at 3; it is NaN for a constant group, whose variance is zero. Quantization
 error decomposes exhaustively into a clamping part (elements whose scaled
 magnitude exceeds the format's max normal, or whose zero-point code
-saturates) and a rounding part; the report's mse is defined as
-(clamp + round) / count so the decomposition identity is exact in float64.
+saturates, as quantizer.quantize_with_clamps reports them) and a rounding
+part; the report's mse is defined as (clamp + round) / count so the
+decomposition identity is exact in float64.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import formats
 from .errors import ConfigError, DataError
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, group_view, quantize
+from .quantizer import QuantConfig, dequantize, group_view, quantize_with_clamps
 
 __all__ = [
     "GroupStats",
@@ -131,6 +131,22 @@ class ErrorReport:
     clamp_sq_per_group: np.ndarray
     round_sq_per_group: np.ndarray
 
+    @classmethod
+    def fold(cls, sq: np.ndarray, clamped: np.ndarray) -> ErrorReport:
+        """Report of squared errors sq, grouped along the last axis, whose
+        clamped elements count as clamp error and all others as round error.
+
+        Per-group sums fold left-to-right over elements; group subtotals
+        combine in ascending group order; mse is (clamp + round) / sq.size,
+        making clamp_sq_error + round_sq_error == mse * count an identity.
+        """
+        clamp_g = _seq_sum(np.where(clamped, sq, 0.0)).ravel()
+        round_g = _seq_sum(np.where(clamped, 0.0, sq)).ravel()
+        clamp_total = float(_seq_sum(clamp_g))
+        round_total = float(_seq_sum(round_g))
+        total = clamp_total + round_total
+        return cls(total / sq.size, clamp_total, round_total, clamp_g, round_g)
+
     def as_dict(self):
         return {
             "mse": self.mse,
@@ -144,38 +160,9 @@ def _seq_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=-1)[..., -1]
 
 
-def _clamp_mask(q: QuantizedTensor, xg: np.ndarray) -> np.ndarray:
-    """Elements whose ideal code saturates the format under q's scales."""
-    cfg = q.config
-    if cfg.uses_zero_point:
-        q_max = 2**cfg.fmt.total_bits - 1
-        scale = q.scales[..., 0][..., None]
-        zp = q.scales[..., 1][..., None]
-        raw = np.round(xg / scale) + zp
-        return (raw < 0) | (raw > q_max)
-    sel = np.where(xg < 0, q.scales[..., 1][..., None], q.scales[..., 0][..., None])
-    if q.tensor_scale is not None:
-        sel = sel * q.tensor_scale
-    return np.abs(xg / sel) > formats.max_normal(cfg.fmt)
-
-
 def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:
-    """Quantize x under cfg and split squared error into clamp/round parts.
-
-    Per-group sums fold left-to-right over elements; group subtotals combine
-    in ascending group order; mse is (clamp + round) / element count, making
-    clamp_sq_error + round_sq_error == mse * count an identity.
-    """
-    q = quantize(x, cfg)
-    y = dequantize(q)
-    arr = np.asarray(x, dtype=float)
-    _, xg, _ = group_view(arr, cfg.group_size, cfg.axis)
-    _, yg, _ = group_view(y, cfg.group_size, cfg.axis)
-    sq = (xg - yg) ** 2
-    mask = _clamp_mask(q, xg)
-    clamp_g = _seq_sum(np.where(mask, sq, 0.0)).ravel()
-    round_g = _seq_sum(np.where(mask, 0.0, sq)).ravel()
-    clamp_total = float(_seq_sum(clamp_g))
-    round_total = float(_seq_sum(round_g))
-    total = clamp_total + round_total
-    return ErrorReport(total / arr.size, clamp_total, round_total, clamp_g, round_g)
+    """Quantize x under cfg and split squared error into clamp/round parts
+    (see ErrorReport.fold for the fold order)."""
+    q, clamped = quantize_with_clamps(x, cfg)
+    sq = (np.asarray(x, dtype=float) - dequantize(q)) ** 2
+    return ErrorReport.fold(*(group_view(a, cfg.group_size, cfg.axis)[1] for a in (sq, clamped)))

@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from . import analysis, formats, gemm, lloydmax, rotation, tensorfile
+from . import analysis, gemm, lloydmax, rotation, tensorfile
 from .errors import ConfigError, DataError, TensorFileError
-from .quantizer import config, dequantize, parse_group_size, quantize, quantize_dequantize
+from .quantizer import config, dequantize, parse_group_size, quantize
 
 
 def _add_common(p, fmt=False, out=False, seed=False):
@@ -61,8 +61,6 @@ def _parser():
     _add_common(p, fmt=True, out=True)
     p.add_argument("--in-b", required=True, help="right-hand matrix file")
     p.add_argument("--format-b", help="format for the right operand (default: --format)")
-    p.add_argument("--oracle-check", action="store_true",
-                   help="print max-abs difference against the float64 oracle")
 
     p = sub.add_parser("lloydmax", help="cluster-wise Lloyd-Max reference quantizer")
     _add_common(p, out=True, seed=True)
@@ -160,9 +158,6 @@ def _cmd_matmul(args):
     out = gemm.matmul(a, b, cfg_a, cfg_b)
     if args.out:
         tensorfile.write_tensor(args.out, out)
-    if args.oracle_check:
-        ref = gemm.reference_matmul(a, b, cfg_a, cfg_b)
-        print(f"oracle max-abs diff: {repr(float(np.abs(out - ref).max()))}")
     return 0
 
 

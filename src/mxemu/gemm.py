@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .quantizer import QuantConfig, QuantizedTensor, dequantize, group_view, quantize
 
-__all__ = ["AccumSpec", "dot", "matmul", "reference_matmul"]
+__all__ = ["AccumSpec", "dot", "matmul"]
 
 
 @dataclass(frozen=True)
@@ -98,24 +98,3 @@ def matmul(
     db = dequantize(quantize(b, replace(cfg_b, axis=0)))
     return _fold(da, db, gs_a, spec)
 
-
-def reference_matmul(a, b, cfg_a: QuantConfig, cfg_b: QuantConfig) -> np.ndarray:
-    """Dequantize-then-float64 oracle with the same summation order."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    qa = quantize(a, replace(cfg_a, axis=-1))
-    k, gs = a.shape[1], _group_size(qa)
-    da = dequantize(qa)
-    db = dequantize(quantize(b, replace(cfg_b, axis=0)))
-    out = np.empty((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            terms = da[i] * db[:, j]
-            acc = 0.0
-            for g in range(k // gs):
-                part = 0.0
-                for t in terms[g * gs : (g + 1) * gs]:
-                    part += t
-                acc += part
-            out[i, j] = acc
-    return out

@@ -264,8 +264,6 @@ def reference_quantize(
         cb, _ = lloyd_fit(pool, cfg, init=start)
         out_groups[sel] = cb.quantize_values(flat_groups[sel])
     sq = (flat_groups - out_groups) ** 2
-    per_group_sq = np.cumsum(sq, axis=-1)[:, -1]
-    total = float(np.cumsum(per_group_sq)[-1])
-    report = ErrorReport(total / arr.size, 0.0, total, np.zeros_like(per_group_sq), per_group_sq)
+    report = ErrorReport.fold(sq, np.zeros(sq.shape, dtype=bool))
     out = out_groups.reshape(moved.shape)
     return np.ascontiguousarray(np.moveaxis(out, -1, axis)), report

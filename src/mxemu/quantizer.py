@@ -8,6 +8,21 @@ formats use zero-point quantization instead, with the zero point stored in
 the negative-scale slot of the per-group scale pair. The nvfp4_double scale
 mode adds an exact tensor-wise scale under FP8-encoded group scales.
 
+This module alone decides which scale each element uses: an asymmetric
+element's side is x < 0 when quantizing and the code's sign bit when
+dequantizing, and one flat gather over the (..., G, 2) scale pairs picks
+the negative scale for side 1 and the positive one for side 0. Symmetric
+groups broadcast their one scale. quantize_with_clamps also reports which
+elements clamp, from the values quantize has already divided: |x/s| >
+max_normal for float formats, and a zero-point code outside [0, 2**bits - 1]
+before the clip.
+
+Zero-point configs ignore the scale mode. Their scale is (max - min) /
+(2**bits - 1) rounded to binary32, which makes every (code - zp) * scale
+product exact in float64 and so requantization bit-stable. A scale that
+underflows binary32 flushes to its least subnormal, 2**-149, and one that
+overflows it raises DataError.
+
 All arithmetic is float64 and deterministic: quantizing the same tensor
 with the same config always yields bitwise-identical codes, scales, and
 dequantized values, regardless of group count or processing order.
@@ -31,6 +46,7 @@ __all__ = [
     "parse_group_size",
     "group_view",
     "quantize",
+    "quantize_with_clamps",
     "dequantize",
     "quantize_dequantize",
 ]
@@ -137,6 +153,24 @@ def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
 
 def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
     """Quantize a real tensor group-wise under cfg."""
+    return _quantize(x, cfg)[0]
+
+
+def quantize_with_clamps(x, cfg: QuantConfig):
+    """quantize(x, cfg) and a boolean mask, in x's layout, of the elements
+    that clamp: their scaled magnitude exceeds the format's max normal, or
+    their zero-point code falls outside [0, 2**bits - 1] before the clip."""
+    q, pre = _quantize(x, cfg)
+    if cfg.uses_zero_point:
+        clamped = (pre < 0) | (pre > 2**cfg.fmt.total_bits - 1)
+    else:
+        clamped = np.abs(pre, out=pre) > formats.max_normal(cfg.fmt)
+    return q, np.moveaxis(clamped.reshape(q.codes.shape), -1, cfg.axis)
+
+
+def _quantize(x, cfg: QuantConfig):
+    """The QuantizedTensor and the grouped values before rounding: x / scale,
+    or the zero-point code before its clip."""
     arr = _validate_input(x)
     mode = cfg.scale_mode
     if mode.kind == "double" and cfg.group_size not in scaling.NVFP4_GROUP_SIZES:
@@ -146,44 +180,47 @@ def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
     moved, xg, _ = group_view(arr, cfg.group_size, cfg.axis)
 
     if cfg.uses_zero_point:
-        codes, scales = _quantize_zero_point(xg, cfg)
-        return QuantizedTensor(arr.shape, cfg, codes.reshape(moved.shape), scales, None)
+        codes, scales, pre = _quantize_zero_point(xg, cfg)
+        return QuantizedTensor(arr.shape, cfg, codes.reshape(moved.shape), scales), pre
 
     pos_s, neg_s, tensor_scale = scaling.group_scales(xg, mode, cfg.fmt, cfg.asymmetric)
-    ts = 1.0 if tensor_scale is None else tensor_scale
-    sel = (pos_s * ts)[..., None]
-    if cfg.asymmetric:
-        sel = np.where(xg >= 0, sel, (neg_s * ts)[..., None])
-    codes = formats.round_to_codes(xg / sel, cfg.fmt).reshape(moved.shape)
     scales = np.stack([pos_s, neg_s], axis=-1)
-    return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale)
+    applied = scales if tensor_scale is None else scales * tensor_scale
+    sel = _side_scales(applied, xg < 0) if cfg.asymmetric else applied[..., :1]
+    pre = xg / sel
+    codes = formats.round_to_codes(pre, cfg.fmt).reshape(moved.shape)
+    return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale), pre
+
+
+def _side_scales(scales: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Each element's scale from the (..., G, 2) pairs, by a flat gather:
+    side 0 takes the group's positive scale and side 1 its negative one."""
+    first = np.arange(0, scales.size, 2).reshape(*scales.shape[:-1], 1)
+    return scales.reshape(-1)[first + side]
 
 
 def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
-    """Zero-point path for asymmetric integer formats.
-
-    scale = (max - min) / (2**k - 1) stored at binary32 precision (the
-    customary storage width for zero-point scales; it also makes repeated
-    quantize/dequantize bit-stable because every (code - zp) * scale product
-    is then exact in float64), zero_point = round(-min / scale).
-    """
+    """Codes, (scale, zero point) pairs and the codes before their clip, for
+    an asymmetric integer format; zero_point = round(-min / scale)."""
     q_max = 2**cfg.fmt.total_bits - 1
     lo = xg.min(-1)
     hi = xg.max(-1)
-    span = hi - lo
-    # constant groups quantize against their own magnitude (zero span)
-    ref = np.where(span > 0, span, np.maximum(np.abs(hi), 1.0))
-    scale = (ref / q_max).astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # a span or scale past binary32 raises below
+        span = hi - lo
+        # constant groups quantize against their own magnitude (zero span)
+        ref = np.where(span > 0, span, np.maximum(np.abs(hi), 1.0))
+        scale = (ref / q_max).astype(np.float32).astype(np.float64)
+    if np.isinf(scale).any():
+        raise DataError("zero-point scale overflows binary32: group range too large")
+    np.maximum(scale, 2.0**-149, out=scale)  # an underflow flushes to the least subnormal
     anchor = np.where(span > 0, lo, np.minimum(hi, 0.0))
     zp = np.round(-anchor / scale)
-    q = np.round(xg / scale[..., None]) + zp[..., None]
-    np.clip(q, 0, q_max, out=q)
-    all_zero = (span == 0) & (hi == 0)
-    q = np.where(all_zero[..., None], 0.0, q)
-    zp = np.where(all_zero, 0.0, zp)
-    codes = q.astype(np.uint8)
-    scales = np.stack([scale, zp], axis=-1)
-    return codes, scales
+    pre = xg / scale[..., None]
+    np.round(pre, out=pre)
+    pre += zp[..., None]
+    codes = np.clip(pre, 0, q_max, out=np.empty(pre.shape, np.uint8), casting="unsafe")
+    zp[(span == 0) & (hi == 0)] = 0.0  # all-zero groups store +0.0, not -0.0
+    return codes, np.stack([scale, zp], axis=-1), pre
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -192,17 +229,15 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     _, cg, _ = group_view(q.codes, cfg.group_size)
 
     if cfg.uses_zero_point:
-        scale = q.scales[..., 0][..., None]
-        zp = q.scales[..., 1][..., None]
-        vals = (cg.astype(np.float64) - zp) * scale
+        vals = (cg - q.scales[..., 1:]) * q.scales[..., :1]
     else:
-        vg = formats.decode(cg, cfg.fmt)
-        sel = q.scales[..., 0][..., None]
+        vals = formats.decode(cg, cfg.fmt)
         if cfg.asymmetric:
-            sel = np.where(vg < 0, q.scales[..., 1][..., None], sel)
-        vals = vg * sel
+            vals *= _side_scales(q.scales, cg >> (cfg.fmt.total_bits - 1))
+        else:
+            vals *= q.scales[..., :1]
         if q.tensor_scale is not None:
-            vals = vals * q.tensor_scale
+            vals *= q.tensor_scale
 
     out = vals.reshape(q.codes.shape)
     return np.ascontiguousarray(np.moveaxis(out, -1, cfg.axis))

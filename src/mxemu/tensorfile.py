@@ -7,7 +7,9 @@ little-endian integers, then the row-major payload.
 MXQ1 holds a QuantizedTensor: the quantization config by name, the original
 shape, element codes one per byte (low bits used), and per-group scale
 pairs as float64 values paired with their encoded representation bits so a
-reader can audit that every scale sits on its declared encoding grid.
+reader can audit that every scale sits on its declared encoding grid. A
+zero-point config stores its scale's binary32 word and its zero point,
+whatever its scale mode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import formats
 from .errors import ConfigError, TensorFileError
 from .quantizer import QuantizedTensor, config, group_view
-from .scaling import ScaleMode
+from .scaling import SCALE_MODES, ScaleMode
 
 __all__ = [
     "read_tensor",
@@ -138,8 +140,10 @@ def write_quantized(path, q: QuantizedTensor) -> None:
     buf.write(struct.pack("<Q", flat_scales.shape[0]))
     rec = np.empty(flat_scales.shape[0], dtype=_SCALE_RECORD)
     rec["pos"], rec["neg"] = flat_scales[:, 0], flat_scales[:, 1]
-    rec["pbits"] = scale_bits(rec["pos"], cfg.scale_mode, cfg.fmt)
-    rec["nbits"] = scale_bits(rec["neg"], cfg.scale_mode, cfg.fmt, cfg.uses_zero_point)
+    # a zero-point scale is a binary32 value whatever the config's scale mode
+    mode = SCALE_MODES["fp32"] if cfg.uses_zero_point else cfg.scale_mode
+    rec["pbits"] = scale_bits(rec["pos"], mode, cfg.fmt)
+    rec["nbits"] = scale_bits(rec["neg"], mode, cfg.fmt, cfg.uses_zero_point)
     buf.write(rec.tobytes())
     Path(path).write_bytes(buf.getvalue())
 

@@ -11,7 +11,8 @@ from mxemu.analysis import (
     stats_summary,
 )
 from mxemu.errors import ConfigError, DataError
-from mxemu.quantizer import group_view
+from mxemu.formats import max_normal
+from mxemu.quantizer import dequantize, group_view, quantize, quantize_with_clamps
 
 from conftest import shifted_gaussian
 
@@ -180,33 +181,99 @@ def test_pot_round_clamps_less_hand_case():
 
 
 def _independent_decomposition(x, cfg):
-    """Recompute the split from public pieces with the same fold order."""
-    from mxemu import quantize, dequantize
-    from mxemu.analysis import _clamp_mask
-
+    """Clamp mask and per-group clamp/round squared error from a per-element
+    loop over quantize's stored scales, each group folded left to right."""
     q = quantize(x, cfg)
-    y = dequantize(q)
-    _, xg, _ = group_view(np.asarray(x, float), cfg.group_size, cfg.axis)
-    _, yg, _ = group_view(y, cfg.group_size, cfg.axis)
-    sq = (xg - yg) ** 2
-    mask = _clamp_mask(q, xg)
-    clamp = np.cumsum(np.cumsum(np.where(mask, sq, 0.0), -1)[..., -1].ravel())[-1]
-    rnd = np.cumsum(np.cumsum(np.where(mask, 0.0, sq), -1)[..., -1].ravel())[-1]
-    return float(clamp), float(rnd)
+    _, xg, gs = group_view(np.asarray(x, float), cfg.group_size, cfg.axis)
+    _, yg, _ = group_view(dequantize(q), cfg.group_size, cfg.axis)
+    pairs = q.scales.reshape(-1, 2)
+    ts = 1.0 if q.tensor_scale is None else q.tensor_scale
+    mask, clamp, rnd = [], [], []
+    for (pos, neg), xs, ys in zip(pairs, xg.reshape(-1, gs), yg.reshape(-1, gs)):
+        clamp_part = round_part = 0.0
+        for xv, yv in zip(map(float, xs), map(float, ys)):
+            if cfg.uses_zero_point:  # pos is the scale and neg the zero point
+                clamped = not 0 <= round(xv / pos) + neg <= 2**cfg.fmt.total_bits - 1
+            else:
+                clamped = abs(xv / ((neg if xv < 0 else pos) * ts)) > max_normal(cfg.fmt)
+            mask.append(clamped)
+            sq = (xv - yv) * (xv - yv)  # a float's ** 2 goes through libm pow
+            if clamped:
+                clamp_part += sq
+            else:
+                round_part += sq
+        clamp.append(clamp_part)
+        rnd.append(round_part)
+    return np.reshape(mask, xg.shape), np.array(clamp), np.array(rnd)
+
+
+def _check_decomposition(x, cfg):
+    rep = error_decomposition(x, cfg)
+    mask, clamp_g, round_g = _independent_decomposition(x, cfg)
+    q, clamped = quantize_with_clamps(x, cfg)
+    ref = quantize(x, cfg)
+    for got, want in ((q.codes, ref.codes), (q.scales, ref.scales)):
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert q.tensor_scale == ref.tensor_scale
+    assert clamped.shape == x.shape
+    np.testing.assert_array_equal(group_view(clamped, cfg.group_size, cfg.axis)[1], mask)
+    np.testing.assert_array_equal(rep.clamp_sq_per_group, clamp_g)
+    np.testing.assert_array_equal(rep.round_sq_per_group, round_g)
+    assert rep.clamp_sq_error == sum(clamp_g.tolist())
+    assert rep.round_sq_error == sum(round_g.tolist())
+    assert rep.clamp_sq_error + rep.round_sq_error == rep.mse * x.size
+    assert rep.clamp_sq_error >= 0 and rep.round_sq_error >= 0
+    return rep
 
 
 @pytest.mark.parametrize("fmt", ["fp4_e2m1", "fp4_e2m1_asym", "int4", "int4_asym"])
 @pytest.mark.parametrize("mode", ["pot_floor", "pot_round", "fp8e5m2"])
 def test_decomposition_exactness(fmt, mode, rng):
     x = rng.normal(0.5, 2.0, (32, 32))
-    cfg = config(fmt, mode, 32)
-    rep = error_decomposition(x, cfg)
-    clamp, rnd = _independent_decomposition(x, cfg)
-    assert rep.clamp_sq_error == clamp
-    assert rep.round_sq_error == rnd
-    assert rep.clamp_sq_error + rep.round_sq_error == rep.mse * x.size
-    assert rep.clamp_sq_error >= 0 and rep.round_sq_error >= 0
+    rep = _check_decomposition(x, config(fmt, mode, 32))
     assert rep.clamp_sq_per_group.shape == rep.round_sq_per_group.shape == (32,)
+
+
+@pytest.mark.parametrize("fmt,mode,group_size,axis", [
+    ("fp4_e2m1_asym", "nvfp4_double", 16, -1),
+    ("fp8_e4m3", "pot_floor", 32, -1),
+    ("fp8_e4m3_asym", "fp8e4m3", 16, -1),
+    ("fp4_e2m1_asym", "fp8e5m2", "row", -1),
+    ("int4_asym", "pot_floor", "row", -1),
+    ("fp4_e2m1_asym", "fp8e5m2", 16, 0),
+    ("int4_asym", "fp8e5m2", 32, 0),
+])
+def test_decomposition_exactness_more_configs(fmt, mode, group_size, axis, rng):
+    x = rng.normal(0.5, 2.0, (32, 64))
+    x[3, :16] = 0.0  # an all-zero group where the grouping allows
+    _check_decomposition(x, config(fmt, mode, group_size, axis))
+
+
+def test_clamp_boundary_is_max_normal_times_scale():
+    # pot_floor scales: 1 for the negative side (amax 6), 0.25 for the positive (amax 1.5)
+    above = np.nextafter(6.0, np.inf)
+    x = np.array([[-6.0, 1.5], [-above, 1.5]])
+    cfg = config("fp4_e2m1_asym", "pot_floor", 2)
+    q, clamped = quantize_with_clamps(x, cfg)
+    np.testing.assert_array_equal(q.scales, [[[0.25, 1.0]], [[0.25, 1.0]]])
+    np.testing.assert_array_equal(clamped, [[False, False], [True, False]])
+    rep = error_decomposition(x, cfg)
+    np.testing.assert_array_equal(rep.clamp_sq_per_group, [0.0, (above - 6.0) ** 2])
+    np.testing.assert_array_equal(rep.round_sq_per_group, [0.0, 0.0])
+    assert rep.clamp_sq_error == (above - 6.0) ** 2 > 0
+
+
+def test_zero_point_clamp_boundary_is_the_top_code():
+    # both rows get scale 0.25; the second has zero point 2, so 3.375 -> 13.5 + 2 -> 16
+    x = np.array([[0.0, 3.75], [-0.375, 3.375]])
+    cfg = config("int4_asym", "pot_floor", "row")
+    q, clamped = quantize_with_clamps(x, cfg)
+    np.testing.assert_array_equal(q.scales, [[[0.25, 0.0]], [[0.25, 2.0]]])
+    np.testing.assert_array_equal(q.codes, [[0, 15], [0, 15]])
+    np.testing.assert_array_equal(clamped, [[False, False], [False, True]])
+    rep = error_decomposition(x, cfg)
+    np.testing.assert_array_equal(rep.clamp_sq_per_group, [0.0, 0.125**2])
+    np.testing.assert_array_equal(rep.round_sq_per_group, [0.0, 0.125**2])
 
 
 def test_clamp_monotonicity_per_group(rng):

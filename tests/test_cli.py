@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mxemu import cli, tensorfile
+from mxemu import cli, config, matmul, tensorfile
 
 
 @pytest.fixture
@@ -39,3 +40,18 @@ def test_integer_group_size(small_file, capsys, argv):
 def test_bad_group_size_is_config_error(small_file, capsys):
     assert cli.main(["stats", "--in", small_file, "--group-size", "abc"]) == 3
     assert "bad group size" in capsys.readouterr().err
+
+
+def test_matmul_writes_the_emulated_product(small_file, rng, tmp_path, capsys):
+    b_path, out = str(tmp_path / "b.mxt"), str(tmp_path / "y.mxt")
+    tensorfile.write_tensor(b_path, rng.normal(0, 1, (64, 4)))
+    argv = ["matmul", "--in", small_file, "--in-b", b_path, "--out", out,
+            "--format", "fp4_e2m1_asym", "--scale", "fp8e5m2", "--group-size", "32"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
+    expect = matmul(tensorfile.read_tensor(small_file), tensorfile.read_tensor(b_path),
+                    cfg, replace(cfg, axis=0))
+    np.testing.assert_array_equal(tensorfile.read_tensor(out), expect.astype(np.float32))
+    with pytest.raises(SystemExit):  # the float64 oracle check is no longer a CLI option
+        cli.main(argv + ["--oracle-check"])

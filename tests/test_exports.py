@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,38 @@ def test_every_export_resolves(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
     exec(f"from {name} import *", {})
+
+
+def _private_uses(tree):
+    """Underscore names that a module imports from, or reads off, another mxemu module."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mxemu")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+                if node.module in (None, "mxemu"):  # "from . import formats" binds a module
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mxemu"):
+                    found += [p for p in alias.name.split(".") if p.startswith("_")]
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(mxemu.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_uses_another_modules_private_names(path):
+    assert _private_uses(ast.parse(path.read_text())) == []
+
+
+def test_private_use_check_sees_each_form():
+    src = ("from .quantizer import _grouped\nfrom mxemu.formats import _tables\n"
+           "from . import analysis\nimport mxemu.gemm as g\nanalysis._seq_sum(g._fold)\n")
+    assert _private_uses(ast.parse(src)) == ["_grouped", "_tables", "analysis._seq_sum", "g._fold"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,31 @@ def test_zero_point_constant_group():
     np.testing.assert_array_equal(
         quantize_dequantize(y, config("int4_asym", "pot_floor", "row")), y
     )
+
+
+@pytest.mark.parametrize("row", [[1e-300, 3e-300], [-1e-46, 1e-46], [0.0, 1e-45]])
+def test_zero_point_scale_underflow_flushes_to_least_subnormal(row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = quantize(np.array(row), config("int4_asym", "pot_floor", "row"))
+        y = dequantize(q)
+    assert q.scales[0, 0] == 2.0**-149
+    assert np.isfinite(q.scales).all() and np.isfinite(y).all()
+    assert np.all(np.abs(y - row) <= 2.0**-150)
+
+
+def test_zero_point_scale_at_the_top_of_binary32():
+    q = quantize(np.array([0.0, 5e39]), config("int4_asym", "pot_floor", "row"))
+    assert q.scales[0, 0] == float(np.float32(5e39 / 15))
+    assert np.isfinite(dequantize(q)).all()
+
+
+@pytest.mark.parametrize("row", [[0.0, 1e300], [-1e308, 1e308], [1e300, 1e300]])
+def test_zero_point_scale_overflow_raises(row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="binary32"):
+            quantize(np.array(row), config("int4_asym", "pot_floor", "row"))
 
 
 # ---- whole-tensor edge cases ------------------------------------------------

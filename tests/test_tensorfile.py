@@ -7,6 +7,7 @@ import pytest
 from mxemu import config, dequantize, quantize
 from mxemu.errors import TensorFileError
 from mxemu.formats import register_codebook_format
+from mxemu.scaling import SCALE_MODES
 from mxemu.tensorfile import read_quantized, write_quantized
 
 
@@ -61,6 +62,23 @@ def test_mxq1_round_trip_with_negative_zero_points(tmp_path, rng):
     np.testing.assert_array_equal(dequantize(back), dequantize(q))
 
 
+@pytest.mark.parametrize("mode", sorted(SCALE_MODES))
+def test_mxq1_audits_zero_point_scales_as_binary32(tmp_path, rng, mode):
+    group_size = 16 if mode == "nvfp4_double" else 32
+    q = quantize(rng.normal(0.5, 1, (4, 64)), config("int4_asym", mode, group_size))
+    write_quantized(tmp_path / "x.mxq", q)
+    back = read_quantized(tmp_path / "x.mxq")
+    np.testing.assert_array_equal(back.codes, q.codes)
+    np.testing.assert_array_equal(back.scales, q.scales)
+    np.testing.assert_array_equal(dequantize(back), dequantize(q))
+    rec = np.frombuffer((tmp_path / "x.mxq").read_bytes()[-24 * q.n_groups:],
+                        dtype=[("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nbits", "<u4")])
+    scale = q.scales[..., 0].ravel()
+    np.testing.assert_array_equal(rec["pbits"], scale.astype(np.float32).view(np.uint32))
+    np.testing.assert_array_equal(rec["pbits"].view(np.float32).astype(float), scale)
+    np.testing.assert_array_equal(rec["nbits"].view(np.int32), q.scales[..., 1].ravel())
+
+
 def test_mxq1_rejects_zero_points_outside_int32(tmp_path, rng):
     q = quantize(rng.normal(0, 1, (4, 64)), config("int4_asym", "pot_floor", 32))
     q.scales[1, 0, 1] = -2.0**31 - 1
@@ -68,7 +86,8 @@ def test_mxq1_rejects_zero_points_outside_int32(tmp_path, rng):
         write_quantized(tmp_path / "x.mxq", q)
 
 
-# SHA-256 of files written by the per-group struct writer this format started with
+# SHA-256 of files written by the per-group struct writer this format started with;
+# int4_asym's is of a file whose scale audit words are binary32, the rest unchanged
 MXQ1_SHA256 = {
     ("fp4_e2m1", "pot_floor", 32):
         "3dd2f53d27121a8115a1459743ef7a188e1cf24891fa29a21528b8e6b42bd77b",
@@ -77,7 +96,7 @@ MXQ1_SHA256 = {
     ("fp4_e2m1", "nvfp4_double", 16):
         "f30ccecc079d3a3305c1ef14b977912528f4f66a63afb41b5245b97e4422ab23",
     ("int4_asym", "pot_floor", 32):
-        "26c47d09a6496589d68d8ece022f38d0d7291857126401d5b78d884d63daed2b",
+        "271376afcff4636db1a51eededf58c64a29bbb25d9a02d7ccf11f983d2ed6b86",
 }
 
 
