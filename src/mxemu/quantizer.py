@@ -205,14 +205,11 @@ def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
     q_max = 2**cfg.fmt.total_bits - 1
     lo = xg.min(-1)
     hi = xg.max(-1)
-    with np.errstate(over="ignore"):  # a span or scale past binary32 raises below
+    with np.errstate(over="ignore"):  # a span past float64 fails as a binary32 overflow
         span = hi - lo
-        # constant groups quantize against their own magnitude (zero span)
-        ref = np.where(span > 0, span, np.maximum(np.abs(hi), 1.0))
-        scale = (ref / q_max).astype(np.float32).astype(np.float64)
-    if np.isinf(scale).any():
-        raise DataError("zero-point scale overflows binary32: group range too large")
-    np.maximum(scale, 2.0**-149, out=scale)  # an underflow flushes to the least subnormal
+    # constant groups quantize against their own magnitude (zero span)
+    ref = np.where(span > 0, span, np.maximum(np.abs(hi), 1.0))
+    scale = scaling.binary32_scale(ref / q_max, "zero-point scale")
     anchor = np.where(span > 0, lo, np.minimum(hi, 0.0))
     zp = np.round(-anchor / scale)
     pre = xg / scale[..., None]

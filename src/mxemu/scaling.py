@@ -9,9 +9,9 @@ over one or two sides.
 The per-mode routines accept either scalars or numpy arrays of group maxima
 and are exact in float64: power-of-two scales are produced through
 frexp/ldexp (never a rounded log2), float-encoded scales land exactly on
-their encoding grid, and a zero group maximum yields a fixed degenerate
-scale so that all-zero groups and empty sides round-trip without special
-cases downstream.
+their encoding grid, fp32 scales are binary32 values, and a zero group
+maximum yields a fixed degenerate scale so that all-zero groups and empty
+sides round-trip without special cases downstream.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "pot_round_scale",
     "fp_scale",
     "fp32_scale",
+    "binary32_scale",
     "group_scales",
     "nvfp4_scales",
     "NVFP4_GROUP_SIZES",
@@ -80,7 +81,7 @@ def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
     """Scale assigned to a group whose relevant amax is zero.
 
     All codes on that side are zero, so the value is observationally inert;
-    it only has to be positive, tiny, and representable. PoT and exact modes
+    it only has to be positive, tiny, and representable. PoT and fp32 modes
     use a fixed small power of two; float-encoded modes use the smallest
     positive value of their encoding grid.
     """
@@ -143,11 +144,29 @@ def fp_scale(amax, fmt: ElementFormat, scale_fmt: ElementFormat):
 
 
 def fp32_scale(amax, fmt: ElementFormat):
-    """Exact (unencoded) max-to-max scale."""
+    """Max-to-max scale amax/max_normal(fmt) rounded to the nearest binary32.
+
+    A scale that underflows binary32 flushes to its least subnormal, 2**-149,
+    and one that overflows it raises DataError.
+    """
     arr = np.asarray(amax, dtype=float)
     _check_amax(arr)
-    out = np.where(arr > 0, arr / max_normal(fmt), degenerate_scale(SCALE_MODES["fp32"], fmt))
+    ideal = np.where(arr > 0, arr / max_normal(fmt), degenerate_scale(SCALE_MODES["fp32"], fmt))
+    out = binary32_scale(ideal, "fp32 scale")
     return float(out) if np.isscalar(amax) or arr.ndim == 0 else out
+
+
+def binary32_scale(ideal, what: str) -> np.ndarray:
+    """Scales rounded to the nearest binary32, as float64.
+
+    An underflow flushes to the least binary32 subnormal, 2**-149, and an
+    overflow (or an infinite ideal scale) raises DataError naming what.
+    """
+    with np.errstate(over="ignore"):  # an overflow raises below
+        out = np.asarray(ideal, dtype=float).astype(np.float32).astype(np.float64)
+    if np.isinf(out).any():
+        raise DataError(f"{what} overflows binary32")
+    return np.maximum(out, 2.0**-149, out=out)
 
 
 def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = False):
@@ -197,7 +216,7 @@ def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = N
         raise DataError("tensor amax must dominate every group amax")
     mn = max_normal(fmt)
     if tensor_amax == 0:
-        # the tensor-wise scale is exact, so it degenerates as the exact mode does
+        # the exact tensor-wise scale takes the fp32 mode's degenerate value
         tensor_scale = degenerate_scale(SCALE_MODES["fp32"], fmt)
         return tensor_scale, np.full(ga.shape, formats.min_positive(inner))
     tensor_scale = tensor_amax / (448.0 * mn)

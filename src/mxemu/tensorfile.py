@@ -6,10 +6,11 @@ little-endian integers, then the row-major payload.
 
 MXQ1 holds a QuantizedTensor: the quantization config by name, the original
 shape, element codes one per byte (low bits used), and per-group scale
-pairs as float64 values paired with their encoded representation bits so a
-reader can audit that every scale sits on its declared encoding grid. A
+pairs as float64 values paired with their encoded representation bits. A
 zero-point config stores its scale's binary32 word and its zero point,
-whatever its scale mode.
+whatever its scale mode. The reader recomputes every audit word from its
+stored scale and raises TensorFileError when one differs, or when a scale
+is not finite and positive or a zero point is not an integer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import ConfigError, TensorFileError
+from .errors import ConfigError, DataError, TensorFileError
 from .quantizer import QuantizedTensor, config, group_view
 from .scaling import SCALE_MODES, ScaleMode
 
@@ -140,12 +141,33 @@ def write_quantized(path, q: QuantizedTensor) -> None:
     buf.write(struct.pack("<Q", flat_scales.shape[0]))
     rec = np.empty(flat_scales.shape[0], dtype=_SCALE_RECORD)
     rec["pos"], rec["neg"] = flat_scales[:, 0], flat_scales[:, 1]
-    # a zero-point scale is a binary32 value whatever the config's scale mode
-    mode = SCALE_MODES["fp32"] if cfg.uses_zero_point else cfg.scale_mode
-    rec["pbits"] = scale_bits(rec["pos"], mode, cfg.fmt)
-    rec["nbits"] = scale_bits(rec["neg"], mode, cfg.fmt, cfg.uses_zero_point)
+    rec["pbits"], rec["nbits"] = _audit_words(rec, cfg)
     buf.write(rec.tobytes())
     Path(path).write_bytes(buf.getvalue())
+
+
+def _audit_words(rec, cfg):
+    """The audit words of a record array's scale pairs under cfg."""
+    # a zero-point scale is a binary32 value whatever the config's scale mode
+    mode = SCALE_MODES["fp32"] if cfg.uses_zero_point else cfg.scale_mode
+    return (scale_bits(rec["pos"], mode, cfg.fmt),
+            scale_bits(rec["neg"], mode, cfg.fmt, cfg.uses_zero_point))
+
+
+def _check_scales(path, rec, cfg) -> None:
+    """Raise TensorFileError unless every stored scale is finite, positive
+    and matches its audit word; a zero point must be a finite integer."""
+    scales = [rec["pos"]] if cfg.uses_zero_point else [rec["pos"], rec["neg"]]
+    if not all((np.isfinite(s) & (s > 0)).all() for s in scales):
+        raise TensorFileError(f"{path}: a stored scale is not finite and positive")
+    if cfg.uses_zero_point and not (rec["neg"] == np.round(rec["neg"])).all():
+        raise TensorFileError(f"{path}: a stored zero point is not an integer")
+    try:
+        pbits, nbits = _audit_words(rec, cfg)
+    except DataError as exc:  # a float-encoded scale off its grid
+        raise TensorFileError(f"{path}: {exc}") from None
+    if not (np.array_equal(pbits, rec["pbits"]) and np.array_equal(nbits, rec["nbits"])):
+        raise TensorFileError(f"{path}: a stored scale differs from its audit word")
 
 
 def read_quantized(path) -> QuantizedTensor:
@@ -181,5 +203,8 @@ def read_quantized(path) -> QuantizedTensor:
         )
     rec = np.frombuffer(_read_exact(fh, _SCALE_RECORD.itemsize * n_groups, "scales"),
                         dtype=_SCALE_RECORD)
+    _check_scales(path, rec, cfg)
+    if has_ts and not (math.isfinite(ts) and ts > 0):
+        raise TensorFileError(f"{path}: the tensor scale is not finite and positive")
     scales = np.stack([rec["pos"], rec["neg"]], axis=-1).reshape(*groups, 2)
     return QuantizedTensor(tuple(shape), cfg, codes, scales, ts if has_ts else None)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mxemu import config, dequantize, quantize
 from mxemu.errors import ConfigError
@@ -120,19 +122,11 @@ def test_matmul_inner_dim_mismatch():
         matmul(np.zeros((4, 8)), np.zeros((4, 8)), cfg, cfg)
 
 
-def assert_matches_float64_oracle(a, b, cfg_a, cfg_b):
-    out = matmul(a, b, cfg_a, cfg_b)
-    da = dequantize(quantize(a, cfg_a))
-    db = dequantize(quantize(b, replace(cfg_b, axis=0)))
-    expect = python_matmul_oracle(da, db, cfg_a.group_size, np.float64)
-    np.testing.assert_array_equal(out.view(np.uint64), expect.view(np.uint64))
-
-
 def test_matmul_matches_reference_64(rng):
     a = rng.normal(0.2, 1, (64, 64))
     b = rng.normal(-0.1, 1, (64, 64))
     cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
-    assert_matches_float64_oracle(a, b, cfg, cfg)
+    assert_matmul_matches_oracle(a, b, cfg, cfg, "float64")
 
 
 def test_matmul_mixed_formats(rng):
@@ -140,7 +134,7 @@ def test_matmul_mixed_formats(rng):
     b = rng.normal(0, 1, (32, 8))
     cfg_a = config("fp4_e2m1_asym", "fp8e5m2", 16)
     cfg_b = config("fp8_e4m3", "fp8e5m2", 16)
-    assert_matches_float64_oracle(a, b, cfg_a, cfg_b)
+    assert_matmul_matches_oracle(a, b, cfg_a, cfg_b, "float64")
 
 
 def test_float32_accumulation_mode(rng):
@@ -233,3 +227,132 @@ def test_matmul_output_bits_pinned(case):
         out = matmul(a, b, cfg, cfg, AccumSpec("float32"))
     assert out.shape == (32, 16)
     assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_MATMUL[case]
+
+
+def assert_matmul_matches_oracle(a, b, cfg_a, cfg_b, accum):
+    out = matmul(a, b, cfg_a, cfg_b, AccumSpec(accum))
+    da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
+    db = dequantize(quantize(b, replace(cfg_b, axis=0)))
+    expect = python_matmul_oracle(da, db, cfg_a.group_size, np.dtype(accum).type)
+    assert out.dtype == expect.dtype
+    bits = f"u{out.itemsize}"
+    np.testing.assert_array_equal(out.view(bits), expect.view(bits))
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=st.lists(st.booleans(), min_size=4, max_size=4),
+    shift=st.integers(36, 70),
+    scale=st.sampled_from(["pot_floor", "fp8e5m2"]),
+    accum=st.sampled_from(["float64", "float32"]),
+)
+def test_matmul_and_dot_mixing_exact_and_inexact_groups(seed, wide, shift, scale, accum):
+    # a wide group's positive side is 2**shift times its negative side, which
+    # puts its row's sum past the bound that lets a group's sum run in any order
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.1, 1, (5, 128))
+    b = rng.normal(0, 1, (128, 4))
+    for g, w in enumerate(wide):
+        block = a[:, 32 * g:32 * (g + 1)]
+        block[block > 0] *= 2.0**shift if w else 1.0
+    cfg = config("fp4_e2m1_asym", scale, 32)
+    out = assert_matmul_matches_oracle(a, b, cfg, cfg, accum)
+    qa, qb = quantize(a[1], cfg), quantize(b[:, 2], cfg)
+    d = dot(qa, qb, AccumSpec(accum))
+    expect = python_matmul_oracle(dequantize(qa)[None], dequantize(qb)[:, None], 32,
+                                  np.dtype(accum).type)[0, 0]
+    assert np.float64(d).tobytes() == np.float64(expect).tobytes()
+    assert d == out[1, 2]
+
+
+def test_mxfp8_float32_matches_ordered_oracle(rng):
+    cfg = config("fp8_e4m3", "pot_floor", 32)
+    assert_matmul_matches_oracle(rng.normal(0.1, 1, (8, 128)), rng.normal(0, 0.05, (128, 6)),
+                                 cfg, cfg, "float32")
+
+
+@pytest.mark.parametrize("fmt", ["fp8_e4m3", "fp4_e2m1_asym"])
+def test_fp32_scaled_operands_past_binary32_under_float32(rng, fmt):
+    cfg = config(fmt, "fp32", 32)
+    a, b = rng.normal(0.1, 1, (6, 96)), rng.normal(0, 1, (96, 5))
+    da = dequantize(quantize(a, cfg))
+    # an element times a 24-bit scale needs more than binary32's 24 bits
+    assert not np.array_equal(da.astype(np.float32), da)
+    assert_matmul_matches_oracle(a, b, cfg, cfg, "float32")
+
+
+@pytest.mark.parametrize("accum, exponent", [("float64", -540), ("float32", -78)])
+def test_matmul_products_below_the_least_subnormal(rng, accum, exponent):
+    # each product rounds on its own in the ordered fold, so no sum may skip that
+    cfg = config("fp4_e2m1_asym", "pot_floor", 32)
+    a = rng.normal(0.1, 1, (6, 64)) * 2.0**exponent
+    b = rng.normal(0, 1, (64, 5)) * 2.0**exponent
+    assert_matmul_matches_oracle(a, b, cfg, cfg, accum)
+
+
+def test_matmul_products_past_binary32_overflow_under_float32(rng):
+    cfg = config("fp4_e2m1_asym", "pot_floor", 32)
+    a = rng.normal(0.1, 1, (6, 64)) * 2.0**64
+    b = rng.normal(0, 1, (64, 5)) * 2.0**64
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = assert_matmul_matches_oracle(a, b, cfg, cfg, "float32")
+    assert not np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_matmul_zero_signs_follow_the_ordered_fold(accum):
+    cfg = config("fp4_e2m1", "pot_floor", 32)
+    a = np.ones((3, 96))
+    a[0, 32:64] = 0.0  # one all-zero group between nonzero groups
+    a[1] = 0.0  # every group zero
+    a[2, :2] = [1.0, -1.0]  # each group of row 2 cancels exactly ...
+    a[2, 2:32] = 0.0
+    a[2, 32:] = np.tile(a[2, :32], 2)
+    b = -np.ones((96, 3))  # ... although most of its terms are -0.0
+    b[:, 1] = 1.0
+    b[::2, 2] = 1.0
+    out = assert_matmul_matches_oracle(a, b, cfg, cfg, accum)
+    assert out[0, 0] == -64.0
+    assert np.signbit(out[1, 0]) and not np.signbit(out[1, 1])  # -0.0 only from -0.0 terms
+    assert out[2, 0] == 0.0 and not np.signbit(out[2, 0])
+
+
+def test_matmul_zero_signs_past_one_gather(rng):
+    # 80 * 60 zero entries of 64 terms: more than one gather of terms
+    b = rng.normal(0, 1, (64, 60))
+    b[:, ::3] = -np.abs(b[:, ::3]) - 0.5
+    out = assert_matmul_matches_oracle(np.zeros((80, 64)), b, AMX, AMX, "float64")
+    assert np.signbit(out[:, ::3]).all() and not np.signbit(out[:, 1::3]).any()
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_matmul_fold_memory_is_flat_in_k(monkeypatch, accum):
+    def fold_peak(k):
+        # matmul dequantizes b last, so the peak after that call is the fold's;
+        # the quantized operands are kept so that freeing them hides nothing
+        real = gemm.dequantize
+        base, kept = [], []
+
+        def dequantize_then_mark(q):
+            kept.append(q)
+            out = real(q)
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(gemm, "dequantize", dequantize_then_mark)
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(0, 1, (64, k)), rng.normal(0, 1, (k, 64))
+        tracemalloc.start()
+        try:
+            matmul(a, b, AMX, AMX, AccumSpec(accum))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        return peak - base[-1]
+
+    small, large = fold_peak(512), fold_peak(8192)
+    assert small < 10 * 64 * 64 * 8  # a few (M, N) float64 buffers
+    assert large <= small + 4096

@@ -136,7 +136,15 @@ def test_nvfp4_zero_tensor_degenerate():
 @given(amax=st.floats(min_value=1e-6, max_value=1e6))
 def test_fp32_scale_maps_max_to_max(amax):
     s = fp32_scale(amax, FP4)
-    assert s == amax / 6.0
+    assert s == float(np.float32(amax / 6.0))
+
+
+def test_fp32_scale_flushes_underflow_and_rejects_overflow():
+    assert fp32_scale(1e-60, FP4) == 2.0**-149
+    np.testing.assert_array_equal(fp32_scale(np.array([0.0, 1e-60]), FP4),
+                                  [degenerate_scale(SCALE_MODES["fp32"], FP4), 2.0**-149])
+    with pytest.raises(DataError, match="binary32"):
+        fp32_scale(1e300, FP4)
 
 
 def test_group_scale_dispatch_matches_scalar_routines():

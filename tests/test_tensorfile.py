@@ -117,3 +117,43 @@ def test_mxq1_damaged_scale_mode_name(tmp_path, rng, byte):
     (tmp_path / "x.mxq").write_bytes(bytes(data))
     with pytest.raises(TensorFileError, match="bad config names"):
         read_quantized(tmp_path / "x.mxq")
+
+
+def _damaged(tmp_path, q, damage):
+    path = tmp_path / "x.mxq"
+    write_quantized(path, q)
+    data = bytearray(path.read_bytes())
+    first = len(data) - 24 * q.n_groups  # the first (pos, neg, pbits, nbits) record
+    {
+        "nan_scale": lambda: struct.pack_into("<d", data, first, float("nan")),
+        "negative_scale": lambda: struct.pack_into("<d", data, first, -q.scales.flat[0]),
+        "audit_byte": lambda: data.__setitem__(first + 16, data[first + 16] ^ 1),
+        "fractional_zero_point": lambda: struct.pack_into("<d", data, first + 8, 0.5),
+    }[damage]()
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("damage", ["nan_scale", "negative_scale", "audit_byte"])
+def test_mxq1_damaged_scale_record_raises(tmp_path, rng, damage):
+    q = quantize(rng.normal(0, 1, (4, 64)), config("fp4_e2m1_asym", "fp8e5m2", 32))
+    assert q.scales.flat[0] > 0
+    with pytest.raises(TensorFileError, match="scale"):
+        read_quantized(_damaged(tmp_path, q, damage))
+
+
+def test_mxq1_fractional_zero_point_raises(tmp_path, rng):
+    q = quantize(rng.normal(0.5, 1, (4, 64)), config("int4_asym", "pot_floor", 32))
+    with pytest.raises(TensorFileError, match="zero point"):
+        read_quantized(_damaged(tmp_path, q, "fractional_zero_point"))
+
+
+def test_mxq1_fp32_audit_words_are_the_scales(tmp_path, rng):
+    q = quantize(rng.normal(0.3, 1, (4, 64)), config("fp4_e2m1_asym", "fp32", 32))
+    write_quantized(tmp_path / "x.mxq", q)
+    back = read_quantized(tmp_path / "x.mxq")
+    np.testing.assert_array_equal(back.scales, q.scales)
+    rec = np.frombuffer((tmp_path / "x.mxq").read_bytes()[-24 * q.n_groups:],
+                        dtype=[("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nbits", "<u4")])
+    np.testing.assert_array_equal(rec["pbits"].view(np.float32).astype(float), rec["pos"])
+    np.testing.assert_array_equal(rec["nbits"].view(np.float32).astype(float), rec["neg"])
