@@ -15,7 +15,7 @@ decomposition identity is exact in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,13 +72,7 @@ class FiveNumber:
         return self.q3 - self.q1
 
     def as_dict(self):
-        return {
-            "min": self.min,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -89,12 +83,7 @@ class StatsSummary:
     undefined_kurtosis: int
 
     def as_dict(self):
-        return {
-            "mean": self.mean.as_dict(),
-            "kurtosis": self.kurtosis.as_dict(),
-            "n_groups": self.n_groups,
-            "undefined_kurtosis": self.undefined_kurtosis,
-        }
+        return asdict(self)
 
 
 def _five(values: np.ndarray) -> FiveNumber:

@@ -232,8 +232,6 @@ def reference_quantize(
     cfg: LloydConfig = LloydConfig(),
     axis: int = -1,
     init: str = "quantile",
-    init_format=None,
-    init_scale_mode=None,
 ):
     """Cluster-wise Lloyd-Max quantization of a tensor.
 
@@ -258,7 +256,7 @@ def reference_quantize(
         sel = labels == label
         pool = flat_groups[sel].ravel()
         if init == "format_grid":
-            start = asym_grid_codebook(pool, init_format, init_scale_mode)
+            start = asym_grid_codebook(pool)
         else:
             start = None
         cb, _ = lloyd_fit(pool, cfg, init=start)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["RotationSpec", "make_rotation", "rotate", "rotation_matrix", "splitmix64"]
+__all__ = ["RotationSpec", "make_rotation", "rotate", "splitmix64"]
 
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
@@ -90,8 +90,3 @@ def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np
     else:
         y = _fwht(moved * spec.signs) * norm
     return np.ascontiguousarray(np.moveaxis(y, -1, axis))
-
-
-def rotation_matrix(spec: RotationSpec) -> np.ndarray:
-    """Dense d x d matrix of the rotation (for verification, not production)."""
-    return rotate(np.eye(spec.dim), spec, axis=0)

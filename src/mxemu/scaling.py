@@ -2,16 +2,22 @@
 
 There is one scale path. group_scales takes each side's group amax, the
 |x| maximum for a symmetric group and the positive and negative maxima for
-an asymmetric one, and runs the mode's routine once per side; so symmetric,
+an asymmetric one, and runs one rule body on each side; so symmetric,
 asymmetric and two-level (nvfp4_double) scaling are the same computation
-over one or two sides.
+over one or two sides, and every public scale routine is a call into it.
 
-The per-mode routines accept either scalars or numpy arrays of group maxima
-and are exact in float64: power-of-two scales are produced through
-frexp/ldexp (never a rounded log2), float-encoded scales land exactly on
-their encoding grid, fp32 scales are binary32 values, and a zero group
-maximum yields a fixed degenerate scale so that all-zero groups and empty
-sides round-trip without special cases downstream.
+The rule validates amax (finite, >= 0), applies the mode's encoding and
+assigns the degenerate scale where amax == 0, in float64 for scalars or
+arrays. The encodings: a power of two from frexp (never a rounded log2),
+2**(e - emax_elem) with pot_round bumping e when the frexp mantissa
+exceeds 0.75 and a floor of 2**-1074; amax/max_normal rounded to binary32
+for fp32; and for float-encoded modes the nearest value of the scale grid
+to amax/unit, with unit = max_normal(fmt), or max_normal * tensor_scale at
+nvfp4_double's group level. An ideal scale that underflows to zero flushes
+to the grid's least positive value (binary32's is 2**-149).
+
+scale_words gives the 32-bit word that stores each scale, and rejects a
+scale that is off its mode's grid.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "binary32_scale",
     "group_scales",
     "nvfp4_scales",
+    "scale_words",
     "NVFP4_GROUP_SIZES",
 ]
 
@@ -81,24 +88,49 @@ def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
     """Scale assigned to a group whose relevant amax is zero.
 
     All codes on that side are zero, so the value is observationally inert;
-    it only has to be positive, tiny, and representable. PoT and fp32 modes
-    use a fixed small power of two; float-encoded modes use the smallest
-    positive value of their encoding grid.
+    it only has to be positive, tiny, and representable. PoT modes use the
+    power of two 2**(-emax_elem - 126), fp32 that value rounded to binary32,
+    and float-encoded modes the smallest positive value of their grid.
     """
     if mode.kind in ("fp", "double"):
         return formats.min_positive(mode.scale_fmt)
-    return 2.0 ** (-formats.emax_elem(fmt) - 126)
+    tiny = 2.0 ** (-formats.emax_elem(fmt) - 126)
+    return float(binary32_scale(tiny, "fp32 scale")) if mode.kind == "fp32" else tiny
 
 
-def _pot_exponents(amax: np.ndarray):
-    # frexp: amax = m * 2**e with m in [0.5, 1); exact, unlike log2
-    m, e = np.frexp(amax)
-    return m, e - 1
+def _scale_rule(amax, mode: ScaleMode, fmt: ElementFormat, unit=None):
+    """Side scales of group maxima amax under mode; see the module docstring.
+
+    unit divides amax into the ideal scale of the non-PoT modes and defaults
+    to max_normal(fmt).
+    """
+    arr = np.asarray(amax, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DataError("group amax must be finite")
+    if (arr < 0).any():
+        raise DataError("group amax must be >= 0")
+    if mode.kind in ("pot_floor", "pot_round"):
+        m, e = np.frexp(arr)  # amax = m * 2**e with m in [0.5, 1); exact, unlike log2
+        if mode.kind == "pot_round":
+            e = e + (m > 0.75)  # frexp mantissa 0.75 == value mantissa 1.5
+        enc = np.ldexp(1.0, np.maximum(e - 1 - formats.emax_elem(fmt), -1074))
+    else:
+        ideal = arr / (max_normal(fmt) if unit is None else unit)
+        if mode.kind == "fp32":
+            enc = binary32_scale(ideal, "fp32 scale")
+        elif mode.kind in ("fp", "double"):
+            # an underflowed ideal scale flushes to the grid's least value
+            floor = formats.min_positive(mode.scale_fmt)
+            enc = round_real_to_fp(np.fmax(ideal, floor), mode.scale_fmt)
+        else:
+            raise ConfigError(f"scale mode {mode.name} has no scale rule")
+    out = np.where(arr > 0, enc, degenerate_scale(mode, fmt))
+    return float(out) if arr.ndim == 0 else out
 
 
 def pot_floor_scale(amax, fmt: ElementFormat):
     """2**(floor(log2(amax)) - emax_elem); degenerate scale for amax == 0."""
-    return _pot_scale(amax, fmt, SCALE_MODES["pot_floor"])
+    return _scale_rule(amax, SCALE_MODES["pot_floor"], fmt)
 
 
 def pot_round_scale(amax, fmt: ElementFormat):
@@ -110,37 +142,12 @@ def pot_round_scale(amax, fmt: ElementFormat):
     of already-quantized data scale-stable, which plain log2 rounding does
     not.
     """
-    return _pot_scale(amax, fmt, SCALE_MODES["pot_round"])
-
-
-def _pot_scale(amax, fmt, mode):
-    arr = np.asarray(amax, dtype=float)
-    _check_amax(arr)
-    e = formats.emax_elem(fmt)
-    m, e_floor = _pot_exponents(np.where(arr > 0, arr, 1.0))
-    exp = e_floor - e
-    if mode.kind == "pot_round":
-        exp = exp + (m > 0.75)  # frexp mantissa 0.75 == value mantissa 1.5
-    exp = np.maximum(exp, -1074)  # stay representable
-    out = np.where(arr > 0, np.ldexp(1.0, exp.astype(np.int64)), degenerate_scale(mode, fmt))
-    return float(out) if np.isscalar(amax) or arr.ndim == 0 else out
-
-
-def _check_amax(arr):
-    if np.isnan(arr).any() or np.isinf(arr).any():
-        raise DataError("group amax must be finite")
-    if (arr < 0).any():
-        raise DataError("group amax must be >= 0")
+    return _scale_rule(amax, SCALE_MODES["pot_round"], fmt)
 
 
 def fp_scale(amax, fmt: ElementFormat, scale_fmt: ElementFormat):
     """Ideal max-to-max scale amax/max_normal(fmt), encoded on scale_fmt's grid."""
-    arr = np.asarray(amax, dtype=float)
-    _check_amax(arr)
-    ideal = np.where(arr > 0, arr, 1.0) / max_normal(fmt)
-    enc = round_real_to_fp(ideal, scale_fmt)
-    out = np.where(arr > 0, enc, formats.min_positive(scale_fmt))
-    return float(out) if np.isscalar(amax) or arr.ndim == 0 else out
+    return _scale_rule(amax, ScaleMode(scale_fmt.name, "fp", scale_fmt), fmt)
 
 
 def fp32_scale(amax, fmt: ElementFormat):
@@ -149,11 +156,7 @@ def fp32_scale(amax, fmt: ElementFormat):
     A scale that underflows binary32 flushes to its least subnormal, 2**-149,
     and one that overflows it raises DataError.
     """
-    arr = np.asarray(amax, dtype=float)
-    _check_amax(arr)
-    ideal = np.where(arr > 0, arr / max_normal(fmt), degenerate_scale(SCALE_MODES["fp32"], fmt))
-    out = binary32_scale(ideal, "fp32 scale")
-    return float(out) if np.isscalar(amax) or arr.ndim == 0 else out
+    return _scale_rule(amax, SCALE_MODES["fp32"], fmt)
 
 
 def binary32_scale(ideal, what: str) -> np.ndarray:
@@ -172,7 +175,7 @@ def binary32_scale(ideal, what: str) -> np.ndarray:
 def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = False):
     """Positive and negative shared scales of the groups along xg's last axis.
 
-    Each side's group amax goes through the mode's routine once: |x| max
+    Each side's group amax goes through the rule body once: |x| max
     when symmetric (both scales are then the same array), max(x, 0) and
     max(-x, 0) when asymmetric; a side with no mass gets the degenerate
     scale. Returns (pos_scale, neg_scale, tensor_scale); tensor_scale is the
@@ -187,15 +190,7 @@ def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = Fal
         tensor_amax = max(float(a.max()) for a in amaxes)
         pairs = [nvfp4_scales(tensor_amax, a, fmt) for a in amaxes]
         return pairs[0][1], pairs[-1][1], pairs[0][0]
-    routine = {
-        "pot_floor": pot_floor_scale,
-        "pot_round": pot_round_scale,
-        "fp": lambda a, f: fp_scale(a, f, mode.scale_fmt),
-        "fp32": fp32_scale,
-    }.get(mode.kind)
-    if routine is None:
-        raise ConfigError(f"scale mode {mode.name} has no scale routine")
-    scales = [routine(a, fmt) for a in amaxes]
+    scales = [_scale_rule(a, mode, fmt) for a in amaxes]
     return scales[0], scales[-1], None
 
 
@@ -207,20 +202,39 @@ def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = N
     grid. The effective scale of a group is its group scale * tensor_scale.
     """
     fmt = fmt or get_format("fp4_e2m1")
-    inner = get_format("fp8_e4m3")
     ga = np.asarray(group_amaxes, dtype=float)
-    _check_amax(ga)
     if not np.isfinite(tensor_amax) or tensor_amax < 0:
         raise DataError("tensor amax must be finite and >= 0")
     if ga.size and tensor_amax < ga.max():
         raise DataError("tensor amax must dominate every group amax")
     mn = max_normal(fmt)
-    if tensor_amax == 0:
-        # the exact tensor-wise scale takes the fp32 mode's degenerate value
-        tensor_scale = degenerate_scale(SCALE_MODES["fp32"], fmt)
-        return tensor_scale, np.full(ga.shape, formats.min_positive(inner))
-    tensor_scale = tensor_amax / (448.0 * mn)
-    ideal = np.where(ga > 0, ga, 1.0) / (mn * tensor_scale)
-    enc = round_real_to_fp(ideal, inner)
-    gscales = np.where(ga > 0, enc, formats.min_positive(inner))
-    return tensor_scale, gscales
+    # a zero tensor's exact tensor-wise scale is the PoT degenerate scale
+    tensor_scale = (tensor_amax / (448.0 * mn) if tensor_amax > 0
+                    else degenerate_scale(SCALE_MODES["pot_floor"], fmt))
+    return tensor_scale, _scale_rule(ga, SCALE_MODES["nvfp4_double"], fmt, mn * tensor_scale)
+
+
+def scale_words(scales, mode: ScaleMode) -> np.ndarray:
+    """The 32-bit word that stores each scale under mode, as uint32.
+
+    A PoT scale 2**e's word is its biased exponent clip(e + 127, 0, 255), a
+    float-encoded scale's its code on the scale grid and an fp32 scale's its
+    binary32 bit pattern. Raises DataError unless every scale is finite,
+    positive and on its mode's grid: a power of two, a value of the scale
+    grid, or a binary32 value.
+    """
+    arr = np.asarray(scales, dtype=float)
+    if not (np.isfinite(arr) & (arr > 0)).all():
+        raise DataError("scales must be finite and positive")
+    if mode.kind in ("pot_floor", "pot_round"):
+        m, e = np.frexp(arr)
+        if not (m == 0.5).all():
+            raise DataError(f"a {mode.name} scale is not a power of two")
+        return np.clip(e + 126, 0, 255).astype(np.uint32)
+    if mode.kind == "fp32":
+        with np.errstate(over="ignore"):  # past binary32 fails the round trip
+            words = arr.astype(np.float32)
+        if not np.array_equal(words, arr):
+            raise DataError("an fp32 scale is not a binary32 value")
+        return words.view(np.uint32)
+    return formats.encode(arr, mode.scale_fmt).astype(np.uint32)

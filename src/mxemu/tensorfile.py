@@ -6,11 +6,12 @@ little-endian integers, then the row-major payload.
 
 MXQ1 holds a QuantizedTensor: the quantization config by name, the original
 shape, element codes one per byte (low bits used), and per-group scale
-pairs as float64 values paired with their encoded representation bits. A
-zero-point config stores its scale's binary32 word and its zero point,
-whatever its scale mode. The reader recomputes every audit word from its
-stored scale and raises TensorFileError when one differs, or when a scale
-is not finite and positive or a zero point is not an integer.
+pairs as float64 values paired with 32-bit audit words, the words that
+scaling.scale_words gives under the config's scale mode. A zero-point
+config stores its scale's binary32 word and its zero point as a signed
+int32, whatever its scale mode. The reader recomputes every audit word and
+raises TensorFileError when one differs, when a scale is not finite,
+positive and on its mode's grid, or when a zero point is not an integer.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats
 from .errors import ConfigError, DataError, TensorFileError
 from .quantizer import QuantizedTensor, config, group_view
-from .scaling import SCALE_MODES, ScaleMode
+from .scaling import SCALE_MODES, scale_words
 
 __all__ = [
     "read_tensor",
     "write_tensor",
     "read_quantized",
     "write_quantized",
-    "scale_bits",
 ]
 
 _MAGIC = b"MXT1"
@@ -99,25 +98,6 @@ def _read_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def scale_bits(values, mode: ScaleMode, fmt, payload_is_zero_point=False) -> np.ndarray:
-    """32-bit audit words of stored scales, as uint32.
-
-    PoT modes store the biased shared exponent; float-encoded modes store
-    the element code on the scale grid; exact modes store the binary32 bit
-    pattern; zero-point payloads store the zero point as a signed int32.
-    """
-    arr = np.asarray(values, dtype=float)
-    if payload_is_zero_point:
-        if not ((arr >= -2**31) & (arr < 2**31)).all():
-            raise TensorFileError("zero point outside the signed 32-bit range")
-        return arr.astype(np.int32).view(np.uint32)
-    if mode.kind in ("pot_floor", "pot_round"):
-        return np.clip(np.frexp(arr)[1] + 126, 0, 255).astype(np.uint32)
-    if mode.kind in ("fp", "double"):
-        return formats.encode(arr, mode.scale_fmt).astype(np.uint32)
-    return arr.astype(np.float32).view(np.uint32)
-
-
 def write_quantized(path, q: QuantizedTensor) -> None:
     cfg = q.config
     if cfg.fmt.total_bits > 8:
@@ -147,24 +127,26 @@ def write_quantized(path, q: QuantizedTensor) -> None:
 
 
 def _audit_words(rec, cfg):
-    """The audit words of a record array's scale pairs under cfg."""
+    """The audit words of a record array's scale pairs under cfg: each
+    scale's scaling.scale_words word, and a zero point's signed int32."""
+    if not cfg.uses_zero_point:
+        return scale_words(rec["pos"], cfg.scale_mode), scale_words(rec["neg"], cfg.scale_mode)
+    zp = rec["neg"]
+    if not ((zp >= -2**31) & (zp < 2**31)).all():
+        raise TensorFileError("zero point outside the signed 32-bit range")
     # a zero-point scale is a binary32 value whatever the config's scale mode
-    mode = SCALE_MODES["fp32"] if cfg.uses_zero_point else cfg.scale_mode
-    return (scale_bits(rec["pos"], mode, cfg.fmt),
-            scale_bits(rec["neg"], mode, cfg.fmt, cfg.uses_zero_point))
+    return scale_words(rec["pos"], SCALE_MODES["fp32"]), zp.astype(np.int32).view(np.uint32)
 
 
 def _check_scales(path, rec, cfg) -> None:
-    """Raise TensorFileError unless every stored scale is finite, positive
-    and matches its audit word; a zero point must be a finite integer."""
-    scales = [rec["pos"]] if cfg.uses_zero_point else [rec["pos"], rec["neg"]]
-    if not all((np.isfinite(s) & (s > 0)).all() for s in scales):
-        raise TensorFileError(f"{path}: a stored scale is not finite and positive")
+    """Raise TensorFileError unless every stored scale is finite, positive,
+    on its mode's grid and equal to its audit word; a zero point must be an
+    integer."""
     if cfg.uses_zero_point and not (rec["neg"] == np.round(rec["neg"])).all():
         raise TensorFileError(f"{path}: a stored zero point is not an integer")
     try:
         pbits, nbits = _audit_words(rec, cfg)
-    except DataError as exc:  # a float-encoded scale off its grid
+    except DataError as exc:
         raise TensorFileError(f"{path}: {exc}") from None
     if not (np.array_equal(pbits, rec["pbits"]) and np.array_equal(nbits, rec["nbits"])):
         raise TensorFileError(f"{path}: a stored scale differs from its audit word")

@@ -4,7 +4,6 @@ import pytest
 from mxemu import config, quantize_dequantize
 from mxemu.analysis import GroupStats, group_stats, mse
 from mxemu.errors import ConfigError, DataError
-from mxemu.formats import get_format
 from mxemu.lloydmax import (
     Codebook,
     LloydConfig,
@@ -13,7 +12,6 @@ from mxemu.lloydmax import (
     lloyd_fit,
     reference_quantize,
 )
-from mxemu.scaling import get_scale_mode
 
 from conftest import shifted_gaussian
 
@@ -128,10 +126,7 @@ def test_exact_reconstruction_of_few_valued_data(rng):
 def test_reference_orders_below_formats(rng):
     x = shifted_gaussian(rng, 256, 32)
     lcfg = LloydConfig(n_clusters=16, n_iters=100, seed=9)
-    _, rep = reference_quantize(
-        x, 32, lcfg, init="format_grid",
-        init_format=get_format("fp4_e2m1"), init_scale_mode=get_scale_mode("fp8e5m2"),
-    )
+    _, rep = reference_quantize(x, 32, lcfg, init="format_grid")
     amx = mse(x, quantize_dequantize(x, config("fp4_e2m1_asym", "fp8e5m2", 32)))
     mx = mse(x, quantize_dequantize(x, config("fp4_e2m1", "fp8e5m2", 32)))
     assert rep.mse <= amx <= mx

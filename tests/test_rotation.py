@@ -4,7 +4,12 @@ from scipy.linalg import hadamard
 
 from mxemu.analysis import group_stats, stats_summary
 from mxemu.errors import ConfigError
-from mxemu.rotation import make_rotation, rotate, rotation_matrix, splitmix64
+from mxemu.rotation import make_rotation, rotate, splitmix64
+
+
+def rotation_matrix(spec):
+    """Dense d x d matrix of the rotation, for checking rotate against."""
+    return rotate(np.eye(spec.dim), spec, axis=0)
 
 
 def splitmix64_reference(seed, n):

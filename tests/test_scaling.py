@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mxemu.errors import DataError
-from mxemu.formats import get_format, grid, max_normal, min_positive
+from mxemu.formats import get_format, grid, max_normal, min_positive, register_codebook_format
+from mxemu.quantizer import config, quantize
 from mxemu.scaling import (
     SCALE_MODES,
     degenerate_scale,
@@ -133,6 +135,16 @@ def test_nvfp4_zero_tensor_degenerate():
     assert ts > 0 and np.all(gs > 0)
 
 
+@pytest.mark.parametrize("x, mode", [
+    (np.full(16, 5e-324), "fp8e5m2"),
+    (np.r_[np.full(16, 1e10), np.full(16, 1e-320)], "nvfp4_double"),
+], ids=["fp8e5m2", "nvfp4_double"])
+def test_fp_encoded_scale_flushes_an_underflowed_ideal_scale(x, mode):
+    # amax / unit underflows to 0.0; the last group's scale is the grid's least value
+    q = quantize(x, config("fp4_e2m1", mode, 16))
+    assert q.scales[-1, 0] == min_positive(SCALE_MODES[mode].scale_fmt)
+
+
 @given(amax=st.floats(min_value=1e-6, max_value=1e6))
 def test_fp32_scale_maps_max_to_max(amax):
     s = fp32_scale(amax, FP4)
@@ -158,3 +170,44 @@ def test_group_scale_dispatch_matches_scalar_routines():
         pos, [fp_scale(v, FP4, E5M2) if v > 0 else min_positive(E5M2) for v in a]
     )
     assert neg is pos
+
+
+# SHA-256 of the group_scales and nvfp4_scales outputs over every scale mode,
+# sym/asym and the inputs below; a DataError counts as its name.
+PINNED_SCALE_BITS = {
+    "fp4_e2m1": "e7d3487790b52b6720f969b54bd96b6f47d953ade9f5db7f7dc7b60c36ff7590",
+    "pinned_cb_1e30": "c18602e1d263b6a0d283710a4b378261fb5efa63d3fd5a78e25d80f9796c534b",
+}
+
+
+def _scale_digest(fmt):
+    rng = np.random.default_rng(21)
+    x = rng.normal(0.2, 1.5, (12, 32))
+    x[0], x[1, :16] = 0.0, 0.0
+    x[2], x[3] = np.abs(x[2]), -np.abs(x[3])
+    inputs = [x, x * 1e300, np.zeros((2, 32))]
+    if fmt.kind != "codebook":  # its amax / 1e30 would underflow every grid
+        inputs.append(x * 1e-310)
+    h = hashlib.sha256()
+    for mode in SCALE_MODES.values():
+        for asym in (False, True):
+            for xi in inputs:
+                try:
+                    pos, neg, ts = group_scales(xi.reshape(12 if xi.size > 64 else 2, 2, 16),
+                                                mode, fmt, asym)
+                    h.update(np.asarray(pos).tobytes() + np.asarray(neg).tobytes())
+                    h.update(repr(ts).encode())
+                except DataError:
+                    h.update(b"DataError")
+    for tensor_amax in (0.0, 6.0, 1e300):
+        amaxes = np.array([0.0, tensor_amax / 3, tensor_amax])
+        ts, gs = nvfp4_scales(tensor_amax, amaxes, fmt)
+        h.update(repr(ts).encode() + gs.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fmt_name", sorted(PINNED_SCALE_BITS))
+def test_scale_bits_pinned(fmt_name):
+    if fmt_name == "pinned_cb_1e30":  # fp32 flushes its degenerate 2**-225 to 2**-149
+        register_codebook_format(fmt_name, [0.3, 1.0, 1e30])
+    assert _scale_digest(get_format(fmt_name)) == PINNED_SCALE_BITS[fmt_name]

@@ -124,19 +124,33 @@ def _damaged(tmp_path, q, damage):
     write_quantized(path, q)
     data = bytearray(path.read_bytes())
     first = len(data) - 24 * q.n_groups  # the first (pos, neg, pbits, nbits) record
+    next_up = np.nextafter(q.scales.flat[0], np.inf)
     {
         "nan_scale": lambda: struct.pack_into("<d", data, first, float("nan")),
         "negative_scale": lambda: struct.pack_into("<d", data, first, -q.scales.flat[0]),
         "audit_byte": lambda: data.__setitem__(first + 16, data[first + 16] ^ 1),
         "fractional_zero_point": lambda: struct.pack_into("<d", data, first + 8, 0.5),
+        "pot_off_grid": lambda: struct.pack_into("<d", data, first, 1.5 * q.scales.flat[0]),
+        "fp32_nextafter": lambda: struct.pack_into("<d", data, first, next_up),
+        "zero_point_scale_nextafter": lambda: struct.pack_into("<d", data, first, next_up),
     }[damage]()
     path.write_bytes(bytes(data))
     return path
 
 
-@pytest.mark.parametrize("damage", ["nan_scale", "negative_scale", "audit_byte"])
+# off-grid scales whose audit word still matches, under the configs they damage
+_DAMAGE_CONFIGS = {
+    "pot_off_grid": ("fp4_e2m1", "pot_floor"),
+    "fp32_nextafter": ("fp4_e2m1_asym", "fp32"),
+    "zero_point_scale_nextafter": ("int4_asym", "pot_floor"),
+}
+
+
+@pytest.mark.parametrize("damage", ["nan_scale", "negative_scale", "audit_byte",
+                                    *_DAMAGE_CONFIGS])
 def test_mxq1_damaged_scale_record_raises(tmp_path, rng, damage):
-    q = quantize(rng.normal(0, 1, (4, 64)), config("fp4_e2m1_asym", "fp8e5m2", 32))
+    fmt, mode = _DAMAGE_CONFIGS.get(damage, ("fp4_e2m1_asym", "fp8e5m2"))
+    q = quantize(rng.normal(0, 1, (4, 64)), config(fmt, mode, 32))
     assert q.scales.flat[0] > 0
     with pytest.raises(TensorFileError, match="scale"):
         read_quantized(_damaged(tmp_path, q, damage))
