@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .quantizer import QuantConfig, dequantize, group_view, quantize_with_clamps
+from .quantizer import QuantConfig, dequantize, group_view, quantize_with_clamps, validate_input
 
 __all__ = [
     "GroupStats",
@@ -43,11 +43,8 @@ class GroupStats:
 
 
 def group_stats(x, group_size=None, axis=-1) -> GroupStats:
-    """Per-group mean and kurtosis along the grouping axis."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        raise DataError("empty tensor")
-    _, xg, gs = group_view(arr, group_size, axis)
+    """Per-group mean and kurtosis along the grouping axis of a nonempty, finite x."""
+    _, xg, gs = group_view(validate_input(x), group_size, axis)
     flat = xg.reshape(-1, gs)
     mean = flat.mean(axis=1)
     z = flat - mean[:, None]

@@ -10,15 +10,15 @@ value clamp to it.
 One kernel, round_to_codes, rounds straight to packed codes (sign bit |
 magnitude bits); round_to_grid, round_real_to_fp and decode then gather
 from a table of the signed value of every code, and encode is the kernel
-plus an on-grid check. For float formats with subnormals and M >= 1
-mantissa bits the kernel is arithmetic, as in the OCP MX spec: it clamps
-the magnitude a at max_normal, takes the binade e = floor(log2 a) from
-frexp, held at the subnormal floor emin = 1 - bias, rounds the mantissa
+plus an on-grid check. Float formats have subnormals and M >= 1 mantissa
+bits, and their kernel is arithmetic, as in the OCP MX spec: it clamps the
+magnitude a at max_normal, takes the binade e = floor(log2 a) from frexp,
+held at the subnormal floor emin = 1 - bias, rounds the mantissa
 q = rint(a * 2**(M - e)) (q = 2**(M+1) is the carry into the next binade)
 and returns the magnitude code ((e - emin) << M) + q, as code order is
 magnitude order. The code's low M bits are q's, so rint's ties-to-even q
-is the even mantissa code. INT formats use rint(a); other formats search
-the magnitudes, ties going to the even table index.
+is the even mantissa code. INT formats use rint(a); codebook formats search
+their magnitudes (the table index is the code), ties going to the even one.
 
 Grids are built once per format and cached; all operations are pure.
 """
@@ -62,9 +62,9 @@ _RESERVED = ("all", "fn", "ieee")
 class ElementFormat:
     """Bit-level description of an element code.
 
-    kind is "float" (sign/exponent/mantissa), "int" (sign-magnitude integer)
-    or "codebook" (user-supplied magnitude table, see
-    register_codebook_format).
+    kind is "float" (sign/exponent/mantissa, with subnormals and M >= 1),
+    "int" (sign-magnitude integer) or "codebook" (user-supplied magnitude
+    table, see register_codebook_format).
     """
 
     name: str
@@ -72,7 +72,6 @@ class ElementFormat:
     exponent_bits: int = 0
     mantissa_bits: int = 0
     total_bits: int = 0
-    has_subnormals: bool = True
     reserved: str = "all"
     codebook: tuple = ()
 
@@ -87,6 +86,8 @@ class ElementFormat:
                 raise ConfigError(
                     f"{self.name}: total_bits {self.total_bits} != 1+E+M = {expected}"
                 )
+            if self.mantissa_bits < 1:  # the rounding kernel needs a mantissa bit
+                raise ConfigError(f"{self.name}: a float format needs a mantissa bit")
         if self.reserved not in _RESERVED:
             raise ConfigError(f"{self.name}: bad reserved policy {self.reserved!r}")
 
@@ -97,9 +98,8 @@ def _float_magnitudes(fmt: ElementFormat):
     codes = np.arange(2 ** (E + M), dtype=np.uint32)
     e, m = codes >> M, codes & (2**M - 1)
     mags = np.ldexp(np.where(e > 0, m + 2**M, m), np.maximum(e, 1).astype(int) - bias - M)
-    keep = (e > 0) | (m == 0) | fmt.has_subnormals
-    if fmt.reserved != "all":  # "ieee" drops the top binade, "fn" only its last code
-        keep &= (e < 2**E - 1) if fmt.reserved == "ieee" else (codes < codes[-1])
+    # "ieee" drops the top binade, "fn" only its last code
+    keep = {"all": codes >= 0, "fn": codes < codes[-1], "ieee": e < 2**E - 1}[fmt.reserved]
     return mags[keep], codes[keep]
 
 
@@ -107,9 +107,8 @@ def _float_magnitudes(fmt: ElementFormat):
 def _tables(fmt: ElementFormat):
     """Per-format lookup tables.
 
-    Returns (signed grid ascending, magnitudes ascending, magnitude code bits
-    aligned with the magnitudes, signed value of every packed code with NaN
-    for codes that name no finite value).
+    Returns (signed grid ascending, magnitudes ascending, signed value of
+    every packed code with NaN for codes that name no finite value).
     """
     if fmt.kind == "float":
         mags, codes = _float_magnitudes(fmt)
@@ -121,7 +120,7 @@ def _tables(fmt: ElementFormat):
         raise ConfigError(f"unknown format kind {fmt.kind!r}")
     lut = np.full(1 << (fmt.total_bits - 1), np.nan)
     lut[codes] = mags
-    return np.concatenate([-mags[:0:-1], mags]), mags, codes, np.concatenate([lut, -lut])
+    return np.concatenate([-mags[:0:-1], mags]), mags, np.concatenate([lut, -lut])
 
 
 _BASE_FORMATS = [
@@ -199,7 +198,7 @@ def max_normal(fmt: ElementFormat) -> float:
 
 
 def min_positive(fmt: ElementFormat) -> float:
-    """Smallest positive representable value (subnormal when available)."""
+    """Smallest positive representable value (a subnormal for float formats)."""
     return float(_tables(fmt)[1][1])
 
 
@@ -215,12 +214,12 @@ def round_to_codes(v, fmt: ElementFormat) -> np.ndarray:
     take the even mantissa code; the sign bit is set only on nonzero codes
     of negative values, so -0.0 and values that round to zero give code 0.
     """
-    _, mags, mcodes, _ = _tables(fmt)
+    mags = _tables(fmt)[1]
     arr = np.asarray(v, dtype=float)
     a = np.abs(arr, out=np.empty(arr.shape))
     np.fmin(a, mags[-1], out=a)
     M, bias = fmt.mantissa_bits, fmt.bias
-    if fmt.kind == "float" and fmt.has_subnormals and M >= 1:
+    if fmt.kind == "float":
         # s = M - e (frexp's exponent is e + 1), q = rint(a * 2**s) in place,
         # then the code ((e - emin) << M) + q; see the module docstring
         s = M + 1 - np.frexp(np.fmax(a, 2.0 ** (1 - bias)))[1]
@@ -233,7 +232,7 @@ def round_to_codes(v, fmt: ElementFormat) -> np.ndarray:
         lo = np.maximum(hi - 1, 0)
         d_lo, d_hi = a - mags[lo], mags[hi] - a
         take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
-        a = mcodes[np.where(take_hi, hi, lo)]
+        a = np.where(take_hi, hi, lo)
     codes = a.astype(np.uint8 if fmt.total_bits <= 8 else np.uint16)
     codes |= ((arr < 0) & (codes != 0)).astype(codes.dtype) << (fmt.total_bits - 1)
     return codes[()]  # a numpy scalar for 0-d input
@@ -248,7 +247,7 @@ def round_to_grid(v, fmt: ElementFormat):
     arr = np.asarray(v, dtype=float)
     if np.isnan(arr).any():
         raise DataError("cannot round NaN to a value grid")
-    out = _tables(fmt)[3][round_to_codes(arr, fmt)]
+    out = _tables(fmt)[2][round_to_codes(arr, fmt)]
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
 
 
@@ -262,7 +261,7 @@ def round_real_to_fp(v, fmt: ElementFormat):
     arr = np.asarray(v, dtype=float)
     if np.isnan(arr).any() or (arr <= 0).any():
         raise DataError("scale encoding requires positive finite input")
-    out = _tables(fmt)[3][round_to_codes(arr, fmt)]
+    out = _tables(fmt)[2][round_to_codes(arr, fmt)]
     out = np.where(out == 0.0, min_positive(fmt), out)
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
 
@@ -274,14 +273,14 @@ def encode(values, fmt: ElementFormat) -> np.ndarray:
     """
     arr = np.asarray(values, dtype=float)
     codes = round_to_codes(arr, fmt)
-    if not np.array_equal(_tables(fmt)[3][codes], arr):
+    if not np.array_equal(_tables(fmt)[2][codes], arr):
         raise DataError("encode() requires on-grid values")
     return codes
 
 
 def decode(codes, fmt: ElementFormat) -> np.ndarray:
     """Inverse of encode: packed element codes back to float64 grid values."""
-    lut = _tables(fmt)[3]
+    lut = _tables(fmt)[2]
     arr = np.asarray(codes)
     if arr.dtype.kind not in "ui" or arr.size and (arr.min() < 0 or arr.max() >= len(lut)):
         raise DataError(f"{fmt.name} codes must be integers that lie in [0, {len(lut)})")

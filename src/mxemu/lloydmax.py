@@ -5,8 +5,9 @@ seeded k-means; one codebook per cluster is then fitted to the cluster's
 pooled raw values by Lloyd iterations (nearest-level assignment alternating
 with conditional-mean updates, empty cells keeping their previous level).
 By default each fit is multi-start: Lloyd runs from value quantiles, from a
-uniform grid and from seeded k-means++ draws, and the lowest final MSE wins.
-Everything is deterministic under a fixed seed.
+uniform grid and from seeded k-means++ draws, and the lowest final MSE wins;
+init="format_grid" starts from the pool's AMXFP4 grid instead, as quantize
+gives it. Everything is deterministic under a fixed seed.
 
 The reported MSE is in-sample: each codebook quantizes the very values it
 was fitted to. More clusters mean smaller pools, each with its own
@@ -18,14 +19,13 @@ fresh draw than those fitted with 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import formats, scaling
 from .analysis import ErrorReport, GroupStats, group_stats
 from .errors import ConfigError, DataError
-from .quantizer import group_view
+from .quantizer import config, dequantize, group_view, quantize
 
 __all__ = [
     "LloydConfig",
@@ -35,6 +35,10 @@ __all__ = [
     "lloyd_fit",
     "reference_quantize",
 ]
+
+_KMEANS_ITERS = 50  # the cap on k-means iterations over group features
+_KMEANS_TOL = 1e-9  # k-means stops once no centroid moves further than this
+_KMEANSPP_STARTS = 5  # k-means++ starts of a multi-start Lloyd fit
 
 
 @dataclass(frozen=True)
@@ -68,44 +72,31 @@ class Codebook:
     def boundaries(self) -> np.ndarray:
         return (self.levels[1:] + self.levels[:-1]) / 2
 
-    def assign(self, values) -> np.ndarray:
-        return np.digitize(np.asarray(values, dtype=float), self.boundaries)
-
     def quantize_values(self, values) -> np.ndarray:
-        return self.levels[self.assign(values)]
+        """Each value's nearest level; a value on a boundary takes the upper one."""
+        return self.levels[np.digitize(np.asarray(values, dtype=float), self.boundaries)]
 
 
-def asym_grid_codebook(values, fmt=None, scale_mode=None) -> Codebook:
-    """Codebook spanned by a format grid under the values' asymmetric scales.
+def asym_grid_codebook(values) -> Codebook:
+    """Codebook of the AMXFP4 grid (fp4_e2m1_asym, fp8e5m2 scales) of the values.
 
-    Levels are the distinct dequantized values the asymmetric format could
-    produce for this pool treated as a single group: negative magnitudes
-    times the negative scale, zero, positive magnitudes times the positive
-    scale.
+    Levels are the distinct values that the 16 FP4 codes dequantize to under
+    the scales quantize stores for the pool as one group: negative
+    magnitudes times the negative scale, zero, positive magnitudes times the
+    positive scale.
     """
-    fmt = fmt or formats.get_format("fp4_e2m1")
-    scale_mode = scale_mode or scaling.get_scale_mode("fp8e5m2")
-    vals = np.asarray(values, dtype=float).ravel()
-    if vals.size == 0:
-        raise DataError("asym_grid_codebook: empty values")
-    pos, neg, tensor_scale = scaling.group_scales(vals, scale_mode, fmt, asymmetric=True)
-    if tensor_scale is not None:
-        pos, neg = pos * tensor_scale, neg * tensor_scale
-    mags = formats.grid(fmt)
-    mags = mags[mags > 0]
-    levels = np.unique(np.concatenate([-mags[::-1] * neg, [0.0], mags * pos]))
-    return Codebook(levels)
+    q = quantize(np.asarray(values, dtype=float).ravel(), config("fp4_e2m1_asym", "fp8e5m2"))
+    every_code = replace(q, shape=(16,), codes=np.arange(16, dtype=np.uint8))
+    return Codebook(np.unique(dequantize(every_code)) + 0.0)  # code 0x8's -0.0 becomes 0.0
 
 
-def _kmeans_1d_features(feats: np.ndarray, k: int, seed: int,
-                        iters: int = 50, tol: float = 1e-9) -> np.ndarray:
+def _kmeans(feats: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means on an (n, 2) feature matrix; returns labels."""
     n = feats.shape[0]
     k = min(k, n)
     rng = np.random.default_rng(seed)
     centroids = feats[rng.choice(n, size=k, replace=False)]
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
         labels = d2.argmin(axis=1)
         new = centroids.copy()
@@ -115,7 +106,7 @@ def _kmeans_1d_features(feats: np.ndarray, k: int, seed: int,
                 new[c] = members.mean(axis=0)
         move = np.abs(new - centroids).max()
         centroids = new
-        if move < tol:
+        if move < _KMEANS_TOL:
             break
     d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
     return d2.argmin(axis=1)
@@ -139,11 +130,8 @@ def cluster_groups(stats: GroupStats, cfg: LloydConfig) -> np.ndarray:
     if not defined.any():
         return labels
     feats = np.stack([_minmax(stats.mean[defined]), _minmax(stats.kurtosis[defined])], axis=1)
-    labels[defined] = _kmeans_1d_features(feats, cfg.n_clusters, cfg.seed)
+    labels[defined] = _kmeans(feats, cfg.n_clusters, cfg.seed)
     return labels
-
-
-_KMEANSPP_STARTS = 5
 
 
 def _kmeanspp_levels(s: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,7 +162,7 @@ def _starts(s: np.ndarray, cfg: LloydConfig) -> list[np.ndarray]:
 
 def _cells(s: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Cell edges in the sorted pool s: cell c holds s[edges[c]:edges[c + 1]],
-    the values Codebook(levels).assign maps to c."""
+    the values Codebook(levels).quantize_values maps to levels[c]."""
     inner = np.searchsorted(s, (levels[1:] + levels[:-1]) / 2, side="left")
     return np.concatenate([[0], inner, [s.size]])
 
@@ -238,9 +226,9 @@ def reference_quantize(
     init="quantile" (the default name, kept for compatibility) fits each
     cluster codebook with the multi-start lloyd_fit: starts at the value
     quantiles, a uniform grid and seeded k-means++ draws, keeping the lowest
-    final MSE. init="format_grid" starts only from an asymmetric format grid
-    fitted to the cluster pool (see asym_grid_codebook), which guarantees
-    the final MSE does not exceed that format's row-wise MSE on the pool.
+    final MSE. init="format_grid" starts only from the AMXFP4 grid of the
+    cluster pool (see asym_grid_codebook), which guarantees the final MSE
+    does not exceed AMXFP4's row-wise MSE on the pool.
     The MSE is in-sample (see the module docstring).
     Returns (quantized tensor, ErrorReport).
     """

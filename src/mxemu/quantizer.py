@@ -45,6 +45,7 @@ __all__ = [
     "config",
     "parse_group_size",
     "group_view",
+    "validate_input",
     "quantize",
     "quantize_with_clamps",
     "dequantize",
@@ -118,10 +119,11 @@ class QuantizedTensor:
         return int(np.prod(self.scales.shape[:-1], dtype=np.int64))
 
 
-def _validate_input(x) -> np.ndarray:
+def validate_input(x) -> np.ndarray:
+    """x as a float64 array; DataError if it is empty or holds a non-finite value."""
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
-        raise DataError("cannot quantize an empty tensor")
+        raise DataError("empty input tensor")
     bad = ~np.isfinite(arr)
     if bad.any():
         idx = int(np.flatnonzero(bad.ravel())[0])
@@ -171,7 +173,7 @@ def quantize_with_clamps(x, cfg: QuantConfig):
 def _quantize(x, cfg: QuantConfig):
     """The QuantizedTensor and the grouped values before rounding: x / scale,
     or the zero-point code before its clip."""
-    arr = _validate_input(x)
+    arr = validate_input(x)
     mode = cfg.scale_mode
     if mode.kind == "double" and cfg.group_size not in scaling.NVFP4_GROUP_SIZES:
         raise ConfigError(

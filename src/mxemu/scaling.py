@@ -22,6 +22,7 @@ scale that is off its mode's grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +90,13 @@ def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
 
     All codes on that side are zero, so the value is observationally inert;
     it only has to be positive, tiny, and representable. PoT modes use the
-    power of two 2**(-emax_elem - 126), fp32 that value rounded to binary32,
-    and float-encoded modes the smallest positive value of their grid.
+    power of two 2**(-emax_elem - 126), floored at 2**-1074 so that it never
+    underflows to zero, fp32 that value rounded to binary32, and
+    float-encoded modes the smallest positive value of their grid.
     """
     if mode.kind in ("fp", "double"):
         return formats.min_positive(mode.scale_fmt)
-    tiny = 2.0 ** (-formats.emax_elem(fmt) - 126)
+    tiny = math.ldexp(1.0, max(-formats.emax_elem(fmt) - 126, -1074))
     return float(binary32_scale(tiny, "fp32 scale")) if mode.kind == "fp32" else tiny
 
 
@@ -197,9 +199,10 @@ def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = Fal
 def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = None):
     """Two-level scales: exact tensor-wise scale plus encoded group scales.
 
-    tensor_scale = tensor_amax / (448 * max_normal(fmt)); each group scale
-    encodes group_amax / (max_normal(fmt) * tensor_scale) on the FP8 E4M3
-    grid. The effective scale of a group is its group scale * tensor_scale.
+    tensor_scale = tensor_amax / (448 * max_normal(fmt)), flushed to 2**-1074
+    if it underflows; each group scale encodes group_amax / (max_normal(fmt) *
+    tensor_scale) on the FP8 E4M3 grid. The effective scale of a group is its
+    group scale * tensor_scale.
     """
     fmt = fmt or get_format("fp4_e2m1")
     ga = np.asarray(group_amaxes, dtype=float)
@@ -209,7 +212,7 @@ def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = N
         raise DataError("tensor amax must dominate every group amax")
     mn = max_normal(fmt)
     # a zero tensor's exact tensor-wise scale is the PoT degenerate scale
-    tensor_scale = (tensor_amax / (448.0 * mn) if tensor_amax > 0
+    tensor_scale = (max(tensor_amax / (448.0 * mn), 2.0**-1074) if tensor_amax > 0
                     else degenerate_scale(SCALE_MODES["pot_floor"], fmt))
     return tensor_scale, _scale_rule(ga, SCALE_MODES["nvfp4_double"], fmt, mn * tensor_scale)
 

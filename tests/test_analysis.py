@@ -30,6 +30,16 @@ def test_constant_group_undefined_kurtosis():
     assert np.isnan(stats.kurtosis[0])
 
 
+@pytest.mark.parametrize("x, match", [
+    (np.r_[np.ones(7), np.nan], "non-finite input value at flat index 7"),
+    (np.r_[np.ones(4), -np.inf, np.ones(3)], "non-finite input value at flat index 4"),
+    (np.zeros((0, 8)), "empty input tensor"),
+])
+def test_group_stats_rejects_bad_input(x, match):
+    with pytest.raises(DataError, match=match):
+        group_stats(x)
+
+
 def test_gaussian_kurtosis_is_three():
     rng = np.random.default_rng(42)
     stats = group_stats(rng.normal(0, 1, 10**6))

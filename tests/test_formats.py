@@ -125,6 +125,15 @@ def test_unsupported_format_rejected():
         get_format("fp5_e2m2")
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(exponent_bits=3, mantissa_bits=0, total_bits=4), "needs a mantissa bit"),
+    (dict(exponent_bits=2, mantissa_bits=1, total_bits=5), "total_bits 5 != 1"),
+])
+def test_bad_float_format_rejected(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        formats.ElementFormat("bad_float", "float", **kwargs)
+
+
 # ---- rounding ------------------------------------------------------------
 
 def test_round_examples():

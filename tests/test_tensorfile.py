@@ -6,9 +6,9 @@ import pytest
 
 from mxemu import config, dequantize, quantize
 from mxemu.errors import TensorFileError
-from mxemu.formats import register_codebook_format
+from mxemu.formats import FORMATS, register_codebook_format
 from mxemu.scaling import SCALE_MODES
-from mxemu.tensorfile import read_quantized, write_quantized
+from mxemu.tensorfile import read_quantized, read_tensor, write_quantized, write_tensor
 
 
 def test_mxq1_round_trip_of_byte_codes(tmp_path, rng):
@@ -171,3 +171,62 @@ def test_mxq1_fp32_audit_words_are_the_scales(tmp_path, rng):
                         dtype=[("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nbits", "<u4")])
     np.testing.assert_array_equal(rec["pbits"].view(np.float32).astype(float), rec["pos"])
     np.testing.assert_array_equal(rec["nbits"].view(np.float32).astype(float), rec["neg"])
+
+
+def test_csv_input_reads_its_values(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("1.5, -2,3e-3\n\n0.25,4,-0\n")
+    got = read_tensor(path)
+    np.testing.assert_array_equal(got, [[1.5, -2.0, 3e-3], [0.25, 4.0, -0.0]])
+    assert got.dtype == np.float64
+
+
+@pytest.mark.parametrize("text, match", [
+    ("\n \n", "empty CSV"),
+    ("1,2\n3\n", "ragged CSV rows"),
+    ("1,2\n3,x\n", r"x\.csv:2:"),
+])
+def test_bad_csv_raises(tmp_path, text, match):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(TensorFileError, match=match):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda b: b"MXT2" + b[4:], "bad magic"),
+    (lambda b: b[:-1], "truncated"),
+    (lambda b: b[:5], "truncated"),
+    (lambda b: b[:4] + b"\x07" + b[5:], "unsupported dtype byte 7"),
+    (lambda b: b[:6] + struct.pack("<Q", 0) + b[14:], "non-positive dimension"),
+    (lambda b: b + b"\x00", "trailing bytes"),
+])
+def test_damaged_mxt1_raises(tmp_path, rng, damage, match):
+    path = tmp_path / "x.mxt"
+    write_tensor(path, rng.normal(0, 1, (3, 4)))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(TensorFileError, match=match):
+        read_tensor(path)
+
+
+def test_mxq1_round_trip_of_an_underflowing_nvfp4_tensor_scale(tmp_path):
+    x = np.r_[np.full(8, 5e-324), np.full(8, -1e-323)]
+    q = quantize(x, config("fp4_e2m1_asym", "nvfp4_double", 16))
+    assert q.tensor_scale == 2.0**-1074
+    write_quantized(tmp_path / "x.mxq", q)
+    back = read_quantized(tmp_path / "x.mxq")
+    assert back.tensor_scale == q.tensor_scale
+    np.testing.assert_array_equal(dequantize(back), x)
+
+
+def test_mxq1_round_trip_of_a_huge_codebooks_degenerate_scale(tmp_path):
+    fmt = register_codebook_format("mxq1_huge_codebook", [1.0, 1e300])
+    try:
+        q = quantize(np.zeros((1, 32)), config(fmt.name, "pot_floor", 32))
+        np.testing.assert_array_equal(q.scales, 2.0**-1074)
+        write_quantized(tmp_path / "x.mxq", q)
+        back = read_quantized(tmp_path / "x.mxq")
+    finally:
+        FORMATS.pop(fmt.name)
+    np.testing.assert_array_equal(back.scales, q.scales)
+    np.testing.assert_array_equal(dequantize(back), np.zeros((1, 32)))
