@@ -26,7 +26,6 @@ from .formats import (
     max_normal,
     parse_format,
     register_codebook_format,
-    round_real_to_fp,
     round_to_grid,
 )
 from .gemm import AccumSpec, dot, matmul

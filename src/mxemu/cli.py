@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, gemm, lloydmax, rotation, tensorfile
 from .errors import ConfigError, DataError, TensorFileError
-from .quantizer import config, dequantize, parse_group_size, quantize
+from .quantizer import config, dequantize, group_view, parse_group_size, quantize
 
 
 _SHARED = {
@@ -132,7 +132,7 @@ def _cmd_stats(args):
 
 def _cmd_rotate(args):
     x = tensorfile.read_tensor(args.infile)
-    dim = x.shape[args.dim_axis]
+    dim = group_view(x, None, args.dim_axis)[2]
     spec = rotation.make_rotation(dim, args.seed)
     y = rotation.rotate(x, spec, axis=args.dim_axis, transpose=args.transpose)
     if args.out:
@@ -144,8 +144,8 @@ def _cmd_rotate(args):
 def _cmd_matmul(args):
     a = tensorfile.read_tensor(args.infile)
     b = tensorfile.read_tensor(args.in_b)
-    cfg_a = config(args.format, args.scale, args.group_size, axis=-1)
-    cfg_b = config(args.format_b or args.format, args.scale, args.group_size, axis=0)
+    cfg_a = config(args.format, args.scale, args.group_size)
+    cfg_b = config(args.format_b or args.format, args.scale, args.group_size)
     out = gemm.matmul(a, b, cfg_a, cfg_b)
     if args.out:
         tensorfile.write_tensor(args.out, out)

@@ -8,17 +8,17 @@ grid is round-to-nearest with ties broken toward the even mantissa code
 value clamp to it.
 
 One kernel, round_to_codes, rounds straight to packed codes (sign bit |
-magnitude bits); round_to_grid, round_real_to_fp and decode then gather
-from a table of the signed value of every code, and encode is the kernel
-plus an on-grid check. Float formats have subnormals and M >= 1 mantissa
-bits, and their kernel is arithmetic, as in the OCP MX spec: it clamps the
-magnitude a at max_normal, takes the binade e = floor(log2 a) from frexp,
-held at the subnormal floor emin = 1 - bias, rounds the mantissa
-q = rint(a * 2**(M - e)) (q = 2**(M+1) is the carry into the next binade)
-and returns the magnitude code ((e - emin) << M) + q, as code order is
-magnitude order. The code's low M bits are q's, so rint's ties-to-even q
-is the even mantissa code. INT formats use rint(a); codebook formats search
-their magnitudes (the table index is the code), ties going to the even one.
+magnitude bits); round_to_grid and decode then gather from a table of the
+signed value of every code, and encode is the kernel plus an on-grid check.
+Float formats have subnormals and M >= 1 mantissa bits, and their kernel is
+arithmetic, as in the OCP MX spec: it clamps the magnitude a at max_normal,
+takes the binade e = floor(log2 a) from frexp, held at the subnormal floor
+emin = 1 - bias, rounds the mantissa q = rint(a * 2**(M - e)) (q = 2**(M+1)
+is the carry into the next binade) and returns the magnitude code
+((e - emin) << M) + q, as code order is magnitude order. The code's low M
+bits are q's, so rint's ties-to-even q is the even mantissa code. INT
+formats use rint(a); codebook formats search their magnitudes (the table
+index is the code), ties going to the even one.
 
 Grids are built once per format and cached; all operations are pure.
 """
@@ -46,7 +46,6 @@ __all__ = [
     "emax_elem",
     "round_to_codes",
     "round_to_grid",
-    "round_real_to_fp",
     "encode",
     "decode",
 ]
@@ -248,21 +247,6 @@ def round_to_grid(v, fmt: ElementFormat):
     if np.isnan(arr).any():
         raise DataError("cannot round NaN to a value grid")
     out = _tables(fmt)[2][round_to_codes(arr, fmt)]
-    return float(out) if np.isscalar(v) or arr.ndim == 0 else out
-
-
-def round_real_to_fp(v, fmt: ElementFormat):
-    """Encode positive real(s) on a float grid, nearest-even.
-
-    Overflow clamps to max_normal; values that would round to zero flush to
-    the smallest positive representable value, so the result is never zero.
-    Used for shared-scale encoding; input must be strictly positive.
-    """
-    arr = np.asarray(v, dtype=float)
-    if np.isnan(arr).any() or (arr <= 0).any():
-        raise DataError("scale encoding requires positive finite input")
-    out = _tables(fmt)[2][round_to_codes(arr, fmt)]
-    out = np.where(out == 0.0, min_positive(fmt), out)
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
 
 

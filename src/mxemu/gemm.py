@@ -66,16 +66,16 @@ class AccumSpec:
             raise ConfigError(f"unknown accumulator width {self.accum!r}")
 
 
-def _check_operand(cfg: QuantConfig, side: str):
-    if cfg.uses_zero_point:
-        raise ConfigError(
-            f"{side}: zero-point integer operands are unsupported in the emulated "
-            "dot; dequantize first and use a floating-point matmul"
-        )
-
-
-def _group_size(q: QuantizedTensor) -> int:
-    return group_view(q.codes, q.config.group_size)[2]
+def _check_operands(op: str, cfg_a: QuantConfig, cfg_b: QuantConfig, gs_a: int, gs_b: int):
+    """Raise ConfigError for a zero-point operand or unequal group sizes."""
+    for side, cfg in (("lhs", cfg_a), ("rhs", cfg_b)):
+        if cfg.uses_zero_point:
+            raise ConfigError(
+                f"{side}: zero-point integer operands are unsupported in the emulated "
+                "dot; dequantize first and use a floating-point matmul"
+            )
+    if gs_a != gs_b:
+        raise ConfigError(f"{op}: group size mismatch {gs_a} vs {gs_b}")
 
 
 # exponent given to a zero element: it never limits the bound
@@ -164,11 +164,8 @@ def dot(a: QuantizedTensor, b: QuantizedTensor, spec: AccumSpec = AccumSpec()) -
         raise ConfigError("dot expects 1-D quantized tensors")
     if a.shape != b.shape:
         raise ConfigError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
-    _check_operand(a.config, "lhs")
-    _check_operand(b.config, "rhs")
-    gs_a, gs_b = _group_size(a), _group_size(b)
-    if gs_a != gs_b:
-        raise ConfigError(f"dot: group size mismatch {gs_a} vs {gs_b}")
+    gs_a, gs_b = (group_view(q.codes, q.config.group_size)[2] for q in (a, b))
+    _check_operands("dot", a.config, b.config, gs_a, gs_b)
     return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs_a, spec)[0, 0])
 
 
@@ -188,10 +185,7 @@ def matmul(
         raise ConfigError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
     gs_a = group_view(a, cfg_a.group_size)[2]
     gs_b = group_view(b, cfg_b.group_size, 0)[2]
-    if gs_a != gs_b:
-        raise ConfigError(f"matmul: group size mismatch {gs_a} vs {gs_b}")
-    _check_operand(cfg_a, "lhs")
-    _check_operand(cfg_b, "rhs")
+    _check_operands("matmul", cfg_a, cfg_b, gs_a, gs_b)
     da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
     db = dequantize(quantize(b, replace(cfg_b, axis=0)))
     return _fold(da, db, gs_a, spec)

@@ -9,13 +9,16 @@ the negative-scale slot of the per-group scale pair. The nvfp4_double scale
 mode adds an exact tensor-wise scale under FP8-encoded group scales.
 
 This module alone decides which scale each element uses: an asymmetric
-element's side is x < 0 when quantizing and the code's sign bit when
-dequantizing, and one flat gather over the (..., G, 2) scale pairs picks
-the negative scale for side 1 and the positive one for side 0. Symmetric
-groups broadcast their one scale. quantize_with_clamps also reports which
-elements clamp, from the values quantize has already divided: |x/s| >
-max_normal for float formats, and a zero-point code outside [0, 2**bits - 1]
-before the clip.
+element's side is whether its value is negative, x < 0 when quantizing and
+the decoded grid value < 0 when dequantizing (every scale is positive, so a
+-0.0 code gives -0.0 on either side). One flat gather over the (..., G, 2)
+scale pairs picks the negative scale for side 1 and the positive one for
+side 0; symmetric groups broadcast their one scale. Where a group scale
+times the nvfp4_double tensor scale underflows to 0.0, quantize divides by
+the tensor scale and then by the group scale. quantize_with_clamps also
+reports which elements clamp, from the values quantize has already divided:
+|x/s| > max_normal for float formats, and a zero-point code outside
+[0, 2**bits - 1] before the clip.
 
 Zero-point configs ignore the scale mode. Their scale is (max - min) /
 (2**bits - 1) rounded to binary32, which makes every (code - zp) * scale
@@ -189,7 +192,12 @@ def _quantize(x, cfg: QuantConfig):
     scales = np.stack([pos_s, neg_s], axis=-1)
     applied = scales if tensor_scale is None else scales * tensor_scale
     sel = _side_scales(applied, xg < 0) if cfg.asymmetric else applied[..., :1]
-    pre = xg / sel
+    if applied.all():
+        pre = xg / sel
+    else:  # an applied scale underflowed to 0.0: divide by its two factors in turn
+        pre = xg / np.where(sel > 0, sel, 1.0)
+        group = _side_scales(scales, xg < 0) if cfg.asymmetric else scales[..., :1]
+        np.divide(xg / tensor_scale, group, out=pre, where=sel == 0)
     codes = formats.round_to_codes(pre, cfg.fmt).reshape(moved.shape)
     return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale), pre
 
@@ -231,10 +239,7 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
         vals = (cg - q.scales[..., 1:]) * q.scales[..., :1]
     else:
         vals = formats.decode(cg, cfg.fmt)
-        if cfg.asymmetric:
-            vals *= _side_scales(q.scales, cg >> (cfg.fmt.total_bits - 1))
-        else:
-            vals *= q.scales[..., :1]
+        vals *= _side_scales(q.scales, vals < 0) if cfg.asymmetric else q.scales[..., :1]
         if q.tensor_scale is not None:
             vals *= q.tensor_scale
 

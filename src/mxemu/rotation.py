@@ -3,7 +3,8 @@
 The rotation is R = H_d D / sqrt(d) with H_d the Sylvester-ordered Hadamard
 matrix and D a +/-1 diagonal derived from a splitmix64 stream, so the same
 (dim, seed) pair reproduces the same rotation on any platform. R is applied
-through the fast Walsh-Hadamard butterfly, never as a dense matrix.
+through the fast Walsh-Hadamard butterfly, never as a dense matrix, along
+the axis that quantizer.group_view moves last (or rejects as out of range).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .quantizer import group_view
 
 __all__ = ["RotationSpec", "make_rotation", "rotate", "splitmix64"]
 
@@ -75,11 +77,7 @@ def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np
     Forward: y = H (D x) / sqrt(d). Transpose: y = D (H x) / sqrt(d); since
     R is orthogonal the transpose inverts the forward rotation.
     """
-    arr = np.asarray(x, dtype=float)
-    try:
-        moved = np.moveaxis(arr, axis, -1)
-    except np.exceptions.AxisError:
-        raise ConfigError(f"axis {axis} out of range for shape {arr.shape}") from None
+    moved = group_view(np.asarray(x, dtype=float), None, axis)[0]
     if moved.shape[-1] != spec.dim:
         raise ConfigError(
             f"extent {moved.shape[-1]} along axis {axis} != rotation dim {spec.dim}"

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import formats
 from .errors import ConfigError, DataError
-from .formats import ElementFormat, get_format, max_normal, round_real_to_fp
+from .formats import ElementFormat, get_format, max_normal
 
 __all__ = [
     "ScaleMode",
@@ -123,7 +123,7 @@ def _scale_rule(amax, mode: ScaleMode, fmt: ElementFormat, unit=None):
         elif mode.kind in ("fp", "double"):
             # an underflowed ideal scale flushes to the grid's least value
             floor = formats.min_positive(mode.scale_fmt)
-            enc = round_real_to_fp(np.fmax(ideal, floor), mode.scale_fmt)
+            enc = formats.round_to_grid(np.fmax(ideal, floor), mode.scale_fmt)
         else:
             raise ConfigError(f"scale mode {mode.name} has no scale rule")
     out = np.where(arr > 0, enc, degenerate_scale(mode, fmt))

@@ -4,14 +4,18 @@ MXT1 holds a plain real tensor: magic "MXT1", a dtype byte (0 = 32-bit
 little-endian float), a dimension-count byte, the dims as unsigned 64-bit
 little-endian integers, then the row-major payload.
 
-MXQ1 holds a QuantizedTensor: the quantization config by name, the original
-shape, element codes one per byte (low bits used), and per-group scale
-pairs as float64 values paired with 32-bit audit words, the words that
-scaling.scale_words gives under the config's scale mode. A zero-point
-config stores its scale's binary32 word and its zero point as a signed
-int32, whatever its scale mode. The reader recomputes every audit word and
-raises TensorFileError when one differs, when a scale is not finite,
-positive and on its mode's grid, or when a zero point is not an integer.
+MXQ1 holds a QuantizedTensor: magic "MXQ1", the format and scale-mode names
+(each a length byte and its bytes), one fixed header (_QHEADER: group size
+or -1 for whole rows, axis, asymmetric flag, tensor-scale flag, tensor
+scale or 0.0, ndim), the original shape, element codes one per byte (low
+bits used), a group count, and per-group scale pairs as float64 values
+paired with 32-bit audit words, the words that scaling.scale_words gives
+under the config's scale mode. A zero-point config stores its scale's
+binary32 word and its zero point as a signed int32, whatever its scale
+mode. The reader recomputes every audit word and raises TensorFileError
+when one differs, when a scale is not finite, positive and on its mode's
+grid, when a zero point is not an integer, or when bytes follow the scale
+records.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ __all__ = [
 _MAGIC = b"MXT1"
 _QMAGIC = b"MXQ1"
 _DTYPE_F32 = 0
+# the MXQ1 header after the names (see the module docstring)
+_QHEADER = struct.Struct("<qqBBdB")
 # one MXQ1 scale record: the scale pair and their 32-bit audit words
 _SCALE_RECORD = np.dtype([("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nbits", "<u4")])
 
@@ -111,10 +117,9 @@ def write_quantized(path, q: QuantizedTensor) -> None:
         buf.write(struct.pack("<B", len(raw)))
         buf.write(raw)
     gs = -1 if cfg.group_size is None else cfg.group_size
-    buf.write(struct.pack("<qqB", gs, cfg.axis, int(cfg.asymmetric)))
     ts = q.tensor_scale
-    buf.write(struct.pack("<Bd", int(ts is not None), 0.0 if ts is None else ts))
-    buf.write(struct.pack("<B", len(q.shape)))
+    buf.write(_QHEADER.pack(gs, cfg.axis, int(cfg.asymmetric), int(ts is not None),
+                            0.0 if ts is None else ts, len(q.shape)))
     buf.write(struct.pack(f"<{len(q.shape)}Q", *q.shape))
     buf.write(q.codes.astype(np.uint8).tobytes(order="C"))
     flat_scales = q.scales.reshape(-1, 2)
@@ -161,9 +166,7 @@ def read_quantized(path) -> QuantizedTensor:
     for what in ("format name", "scale mode"):
         (ln,) = struct.unpack("<B", _read_exact(fh, 1, what))
         names.append(_read_exact(fh, ln, what))
-    gs, axis, asym = struct.unpack("<qqB", _read_exact(fh, 17, "config"))
-    has_ts, ts = struct.unpack("<Bd", _read_exact(fh, 9, "tensor scale"))
-    (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
+    gs, axis, asym, has_ts, ts, ndim = _QHEADER.unpack(_read_exact(fh, _QHEADER.size, "header"))
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
     try:
         fmt_name = names[0].decode() + ("_asym" if asym else "")
@@ -185,6 +188,8 @@ def read_quantized(path) -> QuantizedTensor:
         )
     rec = np.frombuffer(_read_exact(fh, _SCALE_RECORD.itemsize * n_groups, "scales"),
                         dtype=_SCALE_RECORD)
+    if fh.read(1):
+        raise TensorFileError(f"{path}: trailing bytes after the scale records")
     _check_scales(path, rec, cfg)
     if has_ts and not (math.isfinite(ts) and ts > 0):
         raise TensorFileError(f"{path}: the tensor scale is not finite and positive")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mxemu import config, quantize_dequantize
 from mxemu.analysis import (
+    GroupStats,
     error_decomposition,
     group_stats,
     mse,
@@ -132,6 +133,11 @@ def test_summary_counts_undefined():
     s = stats_summary(group_stats(x, group_size=8))
     assert s.undefined_kurtosis == 1
     assert s.n_groups == 2
+
+
+def test_summary_of_no_groups_errors():
+    with pytest.raises(DataError, match="no groups"):
+        stats_summary(GroupStats(np.array([]), np.array([])))
 
 
 def test_summary_all_undefined_errors():

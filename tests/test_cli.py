@@ -85,6 +85,13 @@ def test_rotate_transpose_undoes_the_rotation(small_file, tmp_path, capsys):
     np.testing.assert_allclose(tensorfile.read_tensor(back), x, rtol=0, atol=1e-5)
 
 
+def test_rotate_out_of_range_dim_axis_is_config_error(tmp_path, capsys):
+    path = str(tmp_path / "x.mxt")
+    tensorfile.write_tensor(path, np.ones((3, 4)))
+    assert cli.main(["rotate", "--in", path, "--dim-axis", "5"]) == 3
+    assert capsys.readouterr().err == "error: axis 5 out of range for shape (3, 4)\n"
+
+
 @pytest.mark.parametrize("damage", ["missing", "truncated"])
 def test_unreadable_input_is_io_error(small_file, tmp_path, capsys, damage):
     path = str(tmp_path / "bad.mxt")

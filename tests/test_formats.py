@@ -19,7 +19,6 @@ from mxemu.formats import (
     min_positive,
     parse_format,
     register_codebook_format,
-    round_real_to_fp,
     round_to_grid,
 )
 
@@ -128,6 +127,7 @@ def test_unsupported_format_rejected():
 @pytest.mark.parametrize("kwargs, match", [
     (dict(exponent_bits=3, mantissa_bits=0, total_bits=4), "needs a mantissa bit"),
     (dict(exponent_bits=2, mantissa_bits=1, total_bits=5), "total_bits 5 != 1"),
+    (dict(exponent_bits=2, mantissa_bits=1, total_bits=4, reserved="none"), "bad reserved policy"),
 ])
 def test_bad_float_format_rejected(kwargs, match):
     with pytest.raises(ConfigError, match=match):
@@ -183,26 +183,6 @@ def test_round_bounded_error(v):
     lo = g[max(i - 1, 0)]
     hi = g[min(i, len(g) - 1)]
     assert abs(r - v) <= (hi - lo) / 2
-
-
-# ---- scale encoding ------------------------------------------------------
-
-def test_round_real_to_fp_examples():
-    assert round_real_to_fp(31 / 6, E5M2) == 5.0
-    assert round_real_to_fp(4.9 / 6, E5M2) == 0.875
-    assert round_real_to_fp(1.0, E4M3) == 1.0
-
-
-def test_round_real_to_fp_overflow_and_underflow():
-    assert round_real_to_fp(1e30, E5M2) == max_normal(E5M2)
-    assert round_real_to_fp(1e-30, E5M2) == min_positive(E5M2)
-    assert round_real_to_fp(1e-30, E4M3) == min_positive(E4M3)
-
-
-def test_round_real_to_fp_rejects_nonpositive():
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(DataError):
-            round_real_to_fp(bad, E5M2)
 
 
 # ---- codes ---------------------------------------------------------------
@@ -268,6 +248,16 @@ def test_custom_codebook_roundtrip():
         formats.FORMATS.pop("demo_cb", None)
 
 
+@pytest.mark.parametrize("mags, match", [
+    ([0.0, -0.0], "at least one nonzero magnitude"),
+    ([1.0, np.inf], "must be finite"),
+])
+def test_register_codebook_rejects_bad_magnitudes(mags, match):
+    with pytest.raises(ConfigError, match=match):
+        register_codebook_format("bad_cb", mags)
+    assert "bad_cb" not in formats.FORMATS
+
+
 def test_decode_rejects_codes_wider_than_the_format():
     for codes, fmt in ((np.array([200]), FP4), (np.array([0x88], np.uint8), FP4),
                        (np.array([300]), get_format("int8")), (np.array([-1]), FP4)):
@@ -310,16 +300,12 @@ def contract_values(fmt):
 @given(data=st.data())
 def test_kernel_matches_the_brute_force_oracle(fmt, data):
     v = np.array(data.draw(st.lists(contract_values(fmt), min_size=1, max_size=16)))
-    pos = np.abs(v[v != 0])
     # every |v| > max_normal rounds to +/-max_normal; past 2 * max_normal the
     # oracle's float64 distances to the grid stop telling its points apart
     mx = max_normal(fmt)
-    want = brute_force_nearest(np.clip(np.concatenate([v, pos]), -2 * mx, 2 * mx), fmt)
-    want, want_pos = want[: v.size], want[v.size :]
+    want = brute_force_nearest(np.clip(v, -2 * mx, 2 * mx), fmt)
     got = round_to_grid(v, fmt)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))  # +0.0, never -0.0
     np.testing.assert_array_equal(formats.round_to_codes(v, fmt), encode(got, fmt))
     back = decode(encode(got, fmt), fmt)
     np.testing.assert_array_equal(back.view(np.uint64), got.view(np.uint64))
-    want_pos[want_pos == 0] = min_positive(fmt)
-    np.testing.assert_array_equal(round_real_to_fp(pos, fmt), want_pos)

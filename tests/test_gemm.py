@@ -58,6 +58,16 @@ def test_dot_shape_and_group_checks(rng):
     c = quantize(rng.normal(0, 1, 32), config("fp4_e2m1", "fp8e5m2", 16))
     with pytest.raises(ConfigError, match="group size"):
         dot(a, c)
+    d = quantize(rng.normal(0, 1, (2, 32)), AMX)
+    with pytest.raises(ConfigError, match="1-D"):
+        dot(d, d)
+
+
+def test_matmul_shape_and_group_checks():
+    with pytest.raises(ConfigError, match="2-D"):
+        matmul(np.ones(32), np.ones((32, 2)), AMX, AMX)
+    with pytest.raises(ConfigError, match="matmul: group size mismatch 16 vs 32"):
+        matmul(np.ones((2, 64)), np.ones((64, 2)), config("fp4_e2m1", "pot_floor", 16), AMX)
 
 
 def test_dot_rejects_zero_point_int(rng):

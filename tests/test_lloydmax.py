@@ -29,6 +29,20 @@ def test_codebook_rejects_unsorted():
         Codebook(np.array([1.0, 1.0]))
 
 
+def test_codebook_rejects_no_levels():
+    with pytest.raises(ConfigError, match="nonempty"):
+        Codebook([])
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_levels=1), "at least 2 codebook levels"),
+    (dict(n_clusters=0), "at least 1 cluster"),
+])
+def test_lloyd_config_rejects_bad_sizes(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        LloydConfig(**kwargs)
+
+
 # ---- lloyd_fit ----------------------------------------------------------------
 
 def test_two_point_exact():
@@ -114,7 +128,18 @@ def test_undefined_kurtosis_gets_dedicated_cluster():
     assert labels[1] != cfg.n_clusters and labels[2] != cfg.n_clusters
 
 
+def test_all_constant_groups_share_the_extra_cluster():
+    cfg = LloydConfig(n_clusters=4)
+    labels = cluster_groups(group_stats(np.repeat([1.0, -2.0, 0.0], 8), 8), cfg)
+    np.testing.assert_array_equal(labels, [cfg.n_clusters] * 3)
+
+
 # ---- reference_quantize ------------------------------------------------------------
+
+def test_reference_rejects_unknown_init(rng):
+    with pytest.raises(ConfigError, match="unknown init 'bogus'"):
+        reference_quantize(rng.normal(0, 1, (2, 32)), 32, init="bogus")
+
 
 def test_exact_reconstruction_of_few_valued_data(rng):
     vals = rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], size=(8, 32))

@@ -9,7 +9,7 @@ import mxemu
 from mxemu import config, dequantize, quantize, quantize_dequantize
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import get_format, max_normal
-from mxemu.quantizer import QuantConfig, QuantizedTensor
+from mxemu.quantizer import QuantConfig, QuantizedTensor, quantize_with_clamps
 from mxemu.scaling import (
     SCALE_MODES,
     fp32_scale,
@@ -191,6 +191,19 @@ def test_idempotence_nvfp4(rng):
             y1 = quantize_dequantize(x, cfg)
             y2 = quantize_dequantize(y1, cfg)
             np.testing.assert_array_equal(y1, y2)
+
+
+@pytest.mark.parametrize("name, codes", [("fp4_e2m1_asym", [7] * 8 + [15] * 8),
+                                         ("fp4_e2m1", [5] * 8 + [15] * 8)])
+def test_underflowing_applied_scale_divides_by_each_factor(name, codes):
+    x = np.r_[np.full(8, 5e-324), np.full(8, -1e-323)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, clamped = quantize_with_clamps(x, config(name, "nvfp4_double", 16))
+    assert not (q.scales * q.tensor_scale).any()  # group scale x tensor scale is 0.0
+    assert q.codes.tolist() == codes
+    assert not clamped.any()
+    np.testing.assert_array_equal(dequantize(q), x)
 
 
 def test_idempotence_zero_point(rng):

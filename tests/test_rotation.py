@@ -99,6 +99,11 @@ def test_dimension_mismatch():
         rotate(np.zeros((4, 32)), spec)
 
 
+def test_out_of_range_axis():
+    with pytest.raises(ConfigError, match=r"axis 5 out of range for shape \(4, 64\)"):
+        rotate(np.zeros((4, 64)), make_rotation(64, 0), axis=5)
+
+
 def test_axis_zero():
     x = np.random.default_rng(0).normal(0, 1, (8, 3))
     spec = make_rotation(8, 2)

@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mxemu.errors import DataError
-from mxemu.formats import get_format, grid, max_normal, min_positive, register_codebook_format
+from mxemu.formats import (
+    FORMATS,
+    get_format,
+    grid,
+    max_normal,
+    min_positive,
+    register_codebook_format,
+)
 from mxemu.quantizer import config, quantize
 from mxemu.scaling import (
     SCALE_MODES,
@@ -50,6 +57,19 @@ def test_fp_scale_examples():
     assert fp_scale(31, FP4, E5M2) == 5.0
     assert fp_scale(4.9, FP4, E5M2) == 0.875
     assert fp_scale(6.0, FP4, E4M3) == 1.0
+
+
+def test_fp_scale_overflow_and_underflow():
+    assert fp_scale(6e30, FP4, E5M2) == max_normal(E5M2)
+    assert fp_scale(6e-30, FP4, E5M2) == min_positive(E5M2)
+    assert fp_scale(6e-30, FP4, E4M3) == min_positive(E4M3)
+    assert fp_scale(5e-324, FP4, E5M2) == min_positive(E5M2)
+
+
+def test_fp_scale_rejects_negative_and_nan():
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(DataError):
+            fp_scale(bad, FP4, E5M2)
 
 
 def test_scale_rejects_bad_amax():
@@ -128,6 +148,12 @@ def test_nvfp4_exact_fixtures():
 def test_nvfp4_requires_dominating_tensor_amax():
     with pytest.raises(DataError):
         nvfp4_scales(1.0, [2.0])
+
+
+@pytest.mark.parametrize("tensor_amax", [-1.0, float("nan")])
+def test_nvfp4_rejects_a_bad_tensor_amax(tensor_amax):
+    with pytest.raises(DataError, match="tensor amax must be finite"):
+        nvfp4_scales(tensor_amax, [0.0])
 
 
 def test_nvfp4_zero_tensor_degenerate():
@@ -210,4 +236,8 @@ def _scale_digest(fmt):
 def test_scale_bits_pinned(fmt_name):
     if fmt_name == "pinned_cb_1e30":  # fp32 flushes its degenerate 2**-225 to 2**-149
         register_codebook_format(fmt_name, [0.3, 1.0, 1e30])
-    assert _scale_digest(get_format(fmt_name)) == PINNED_SCALE_BITS[fmt_name]
+    try:
+        assert _scale_digest(get_format(fmt_name)) == PINNED_SCALE_BITS[fmt_name]
+    finally:
+        if fmt_name == "pinned_cb_1e30":
+            FORMATS.pop(fmt_name)

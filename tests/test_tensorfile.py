@@ -21,11 +21,14 @@ def test_mxq1_round_trip_of_byte_codes(tmp_path, rng):
 
 def test_mxq1_rejects_codes_wider_than_a_byte(tmp_path, rng):
     fmt = register_codebook_format("mxq1_wide_codebook", np.arange(1.0, 201.0))
-    assert fmt.total_bits == 9
-    q = quantize(rng.normal(0, 1, (4, 64)) * 100, config(fmt.name, "pot_floor", 32))
-    assert q.codes.max() > 255
-    with pytest.raises(TensorFileError, match="one byte per code"):
-        write_quantized(tmp_path / "x.mxq", q)
+    try:
+        assert fmt.total_bits == 9
+        q = quantize(rng.normal(0, 1, (4, 64)) * 100, config(fmt.name, "pot_floor", 32))
+        assert q.codes.max() > 255
+        with pytest.raises(TensorFileError, match="one byte per code"):
+            write_quantized(tmp_path / "x.mxq", q)
+    finally:
+        FORMATS.pop(fmt.name)
     assert not (tmp_path / "x.mxq").exists()
 
 
@@ -217,6 +220,40 @@ def test_mxq1_round_trip_of_an_underflowing_nvfp4_tensor_scale(tmp_path):
     back = read_quantized(tmp_path / "x.mxq")
     assert back.tensor_scale == q.tensor_scale
     np.testing.assert_array_equal(dequantize(back), x)
+
+
+def test_mxq1_rejects_trailing_bytes(tmp_path, rng):
+    path = tmp_path / "x.mxq"
+    q = quantize(rng.normal(0, 1, (4, 64)), config("fp4_e2m1_asym", "fp8e5m2", 32))
+    write_quantized(path, q)
+    path.write_bytes(path.read_bytes() + bytes(7))
+    with pytest.raises(TensorFileError, match="trailing bytes after the scale records"):
+        read_quantized(path)
+
+
+def test_mxq1_reader_rejects_an_mxt1_file(tmp_path, rng):
+    write_tensor(tmp_path / "x.mxt", rng.normal(0, 1, (4, 64)))
+    with pytest.raises(TensorFileError, match="not an MXQ1 file"):
+        read_quantized(tmp_path / "x.mxt")
+
+
+@pytest.mark.parametrize("ts", [np.inf, np.nan, 0.0])
+def test_mxq1_rejects_a_bad_tensor_scale(tmp_path, rng, ts):
+    cfg = config("fp4_e2m1", "nvfp4_double", 16)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    ts_at = 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name) + 8 + 8 + 1 + 1
+    struct.pack_into("<d", data, ts_at, ts)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match="tensor scale is not finite and positive"):
+        read_quantized(path)
+
+
+def test_mxt1_writes_a_0d_array_as_one_element(tmp_path):
+    write_tensor(tmp_path / "x.mxt", np.float64(2.5))
+    back = read_tensor(tmp_path / "x.mxt")
+    assert back.shape == (1,) and back[0] == 2.5
 
 
 def test_mxq1_round_trip_of_a_huge_codebooks_degenerate_scale(tmp_path):
