@@ -185,6 +185,14 @@ def test_round_bounded_error(v):
     assert abs(r - v) <= (hi - lo) / 2
 
 
+def test_round_real_to_fp_examples():
+    # a real-valued scale amax/max_normal(elem) rounds onto the scale
+    # format's grid nearest-even; scaling.fp_scale is this plus the clamps
+    assert round_to_grid(31 / 6, E5M2) == 5.0
+    assert round_to_grid(4.9 / 6, E5M2) == 0.875
+    assert round_to_grid(1.0, E4M3) == 1.0
+
+
 # ---- codes ---------------------------------------------------------------
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
