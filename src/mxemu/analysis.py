@@ -68,9 +68,6 @@ class FiveNumber:
     def iqr(self) -> float:
         return self.q3 - self.q1
 
-    def as_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StatsSummary:

@@ -38,11 +38,12 @@ def _parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, run, shared, summary):
-        """A subcommand that reads --in and the named shared options."""
+        """A subcommand that reads the named shared options and runs
+        run(x, args) on the tensor that --in names."""
         p = sub.add_parser(name, help=summary)
         for opt in ["--in", *shared.split()]:
             p.add_argument(opt, **_SHARED[opt])
-        p.set_defaults(run=run)
+        p.set_defaults(run=lambda args: run(tensorfile.read_tensor(args.infile), args))
         return p
 
     p = command("quantize", _cmd_quantize, "--format --scale --group-size --axis --out",
@@ -90,8 +91,7 @@ def _gs_label(gs):
     return "row" if gs is None else gs
 
 
-def _cmd_quantize(args):
-    x = tensorfile.read_tensor(args.infile)
+def _cmd_quantize(x, args):
     cfg = config(args.format, args.scale, args.group_size, args.axis)
     q = quantize(x, cfg)
     y = dequantize(q)
@@ -105,8 +105,7 @@ def _cmd_quantize(args):
     return 0
 
 
-def _cmd_compare(args):
-    x = tensorfile.read_tensor(args.infile)
+def _cmd_compare(x, args):
     gs = parse_group_size(args.group_size)
     results = []
     for name in args.format.split(","):
@@ -123,15 +122,13 @@ def _cmd_compare(args):
     return _report(args, stats=analysis.stats_summary(stats).as_dict(), results=results)
 
 
-def _cmd_stats(args):
-    x = tensorfile.read_tensor(args.infile)
+def _cmd_stats(x, args):
     gs = parse_group_size(args.group_size)
     stats = analysis.group_stats(x, gs, args.axis)
     return _report(args, group_size=_gs_label(gs), **analysis.stats_summary(stats).as_dict())
 
 
-def _cmd_rotate(args):
-    x = tensorfile.read_tensor(args.infile)
+def _cmd_rotate(x, args):
     dim = group_view(x, None, args.dim_axis)[2]
     spec = rotation.make_rotation(dim, args.seed)
     y = rotation.rotate(x, spec, axis=args.dim_axis, transpose=args.transpose)
@@ -141,8 +138,7 @@ def _cmd_rotate(args):
     return 0
 
 
-def _cmd_matmul(args):
-    a = tensorfile.read_tensor(args.infile)
+def _cmd_matmul(a, args):
     b = tensorfile.read_tensor(args.in_b)
     cfg_a = config(args.format, args.scale, args.group_size)
     cfg_b = config(args.format_b or args.format, args.scale, args.group_size)
@@ -152,8 +148,7 @@ def _cmd_matmul(args):
     return 0
 
 
-def _cmd_lloydmax(args):
-    x = tensorfile.read_tensor(args.infile)
+def _cmd_lloydmax(x, args):
     gs = parse_group_size(args.group_size)
     lcfg = lloydmax.LloydConfig(args.clusters, args.iters, args.levels, args.seed)
     y, rep = lloydmax.reference_quantize(x, gs, lcfg, axis=args.axis, init=args.init)

@@ -44,11 +44,13 @@ _KMEANSPP_STARTS = 5  # k-means++ starts of a multi-start Lloyd fit
 @dataclass(frozen=True)
 class LloydConfig:
     n_clusters: int = 16
-    n_iters: int = 100
+    n_iters: int = 100  # Lloyd update steps per start, at least 1
     n_levels: int = 16  # 4-bit codebook
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_iters < 1:
+            raise ConfigError("need at least 1 Lloyd iteration")
         if self.n_levels < 2:
             raise ConfigError("need at least 2 codebook levels")
         if self.n_clusters < 1:
@@ -90,26 +92,27 @@ def asym_grid_codebook(values) -> Codebook:
     return Codebook(np.unique(dequantize(every_code)) + 0.0)  # code 0x8's -0.0 becomes 0.0
 
 
+def _nearest(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(-1).argmin(axis=1)
+
+
 def _kmeans(feats: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Seeded k-means on an (n, 2) feature matrix; returns labels."""
+    """Seeded k-means on an (n, 2) feature matrix; returns labels. An empty
+    cluster keeps its centroid."""
     n = feats.shape[0]
     k = min(k, n)
     rng = np.random.default_rng(seed)
     centroids = feats[rng.choice(n, size=k, replace=False)]
     for _ in range(_KMEANS_ITERS):
-        d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
-        labels = d2.argmin(axis=1)
-        new = centroids.copy()
-        for c in range(k):
-            members = feats[labels == c]
-            if len(members):
-                new[c] = members.mean(axis=0)
+        labels = _nearest(feats, centroids)
+        counts = np.bincount(labels, minlength=k)[:, None]
+        sums = np.stack([np.bincount(labels, col, minlength=k) for col in feats.T], axis=1)
+        new = np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
         move = np.abs(new - centroids).max()
         centroids = new
         if move < _KMEANS_TOL:
             break
-    d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
-    return d2.argmin(axis=1)
+    return _nearest(feats, centroids)
 
 
 def _minmax(v: np.ndarray) -> np.ndarray:
@@ -174,7 +177,8 @@ def _pool_mse(s: np.ndarray, levels: np.ndarray, edges: np.ndarray) -> float:
 def _lloyd(s: np.ndarray, levels: np.ndarray, n_iters: int):
     """Lloyd iterations on the sorted pool s from the given levels.
 
-    Returns (levels, mse_trace, final_mse); empty cells keep their level.
+    Returns (levels, mse_trace), the pool MSE after each of the n_iters >= 1
+    update steps, so the last is the fit's MSE; empty cells keep their level.
     """
     levels = np.array(levels, dtype=float)
     edges = _cells(s, levels)
@@ -185,7 +189,7 @@ def _lloyd(s: np.ndarray, levels: np.ndarray, n_iters: int):
         levels[full] = np.add.reduceat(s, edges[:-1][full]) / counts[full]
         edges = _cells(s, levels)
         trace.append(_pool_mse(s, levels, edges))
-    return levels, trace, _pool_mse(s, levels, edges)
+    return levels, trace
 
 
 def lloyd_fit(values, cfg: LloydConfig, init: Codebook | None = None):
@@ -210,7 +214,7 @@ def lloyd_fit(values, cfg: LloydConfig, init: Codebook | None = None):
     s = np.sort(vals)
     starts = _starts(s, cfg) if init is None else [init.levels]
     fits = (_lloyd(s, start, cfg.n_iters) for start in starts)
-    levels, trace, _ = min(fits, key=lambda fit: fit[2])  # the earliest on a tie
+    levels, trace = min(fits, key=lambda fit: fit[1][-1])  # the earliest on a tie
     return Codebook(levels), trace
 
 
@@ -242,13 +246,9 @@ def reference_quantize(
     out_groups = np.empty_like(flat_groups)
     for label in np.unique(labels):
         sel = labels == label
-        pool = flat_groups[sel].ravel()
-        if init == "format_grid":
-            start = asym_grid_codebook(pool)
-        else:
-            start = None
-        cb, _ = lloyd_fit(pool, cfg, init=start)
-        out_groups[sel] = cb.quantize_values(flat_groups[sel])
+        pool = flat_groups[sel]
+        start = asym_grid_codebook(pool) if init == "format_grid" else None
+        out_groups[sel] = lloyd_fit(pool, cfg, init=start)[0].quantize_values(pool)
     sq = (flat_groups - out_groups) ** 2
     report = ErrorReport.fold(sq, np.zeros(sq.shape, dtype=bool))
     out = out_groups.reshape(moved.shape)

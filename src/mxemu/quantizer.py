@@ -64,6 +64,11 @@ class QuantConfig:
     asymmetric: bool = False
     axis: int = -1
 
+    def __post_init__(self):
+        sizes = scaling.NVFP4_GROUP_SIZES
+        if self.scale_mode.kind == "double" and self.group_size not in sizes:
+            raise ConfigError(f"scale mode {self.scale_mode.name} requires group size in {sizes}")
+
     @property
     def uses_zero_point(self) -> bool:
         return self.asymmetric and self.fmt.kind == "int"
@@ -75,17 +80,11 @@ class QuantConfig:
 
 
 def config(format_name, scale="pot_floor", group_size=None, axis=-1) -> QuantConfig:
-    """Build a QuantConfig from interface names.
-
-    format_name accepts the '_asym' suffix; group_size accepts an int, the
-    string "row", or None.
-    """
-    if isinstance(format_name, ElementFormat):
-        fmt, asym = format_name, False
-    else:
-        fmt, asym = formats.parse_format(format_name)
-    mode = scale if isinstance(scale, ScaleMode) else get_scale_mode(scale)
-    return QuantConfig(fmt, parse_group_size(group_size), mode, asym, axis)
+    """Build a QuantConfig from names only: a format name, with the '_asym'
+    suffix for asymmetric quantization, and a scale-mode name. group_size
+    accepts an int, the string "row", or None."""
+    fmt, asym = formats.parse_format(format_name)
+    return QuantConfig(fmt, parse_group_size(group_size), get_scale_mode(scale), asym, axis)
 
 
 def parse_group_size(group_size) -> int | None:
@@ -177,18 +176,13 @@ def _quantize(x, cfg: QuantConfig):
     """The QuantizedTensor and the grouped values before rounding: x / scale,
     or the zero-point code before its clip."""
     arr = validate_input(x)
-    mode = cfg.scale_mode
-    if mode.kind == "double" and cfg.group_size not in scaling.NVFP4_GROUP_SIZES:
-        raise ConfigError(
-            f"scale mode {mode.name} requires group size in {scaling.NVFP4_GROUP_SIZES}"
-        )
     moved, xg, _ = group_view(arr, cfg.group_size, cfg.axis)
 
     if cfg.uses_zero_point:
         codes, scales, pre = _quantize_zero_point(xg, cfg)
         return QuantizedTensor(arr.shape, cfg, codes.reshape(moved.shape), scales), pre
 
-    pos_s, neg_s, tensor_scale = scaling.group_scales(xg, mode, cfg.fmt, cfg.asymmetric)
+    pos_s, neg_s, tensor_scale = scaling.group_scales(xg, cfg.scale_mode, cfg.fmt, cfg.asymmetric)
     scales = np.stack([pos_s, neg_s], axis=-1)
     applied = scales if tensor_scale is None else scales * tensor_scale
     sel = _side_scales(applied, xg < 0) if cfg.asymmetric else applied[..., :1]

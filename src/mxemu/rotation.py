@@ -37,10 +37,7 @@ def splitmix64(seed: int, n: int) -> np.ndarray:
 class RotationSpec:
     dim: int
     seed: int
-    signs: np.ndarray  # +/-1.0 diagonal of length dim
-
-    def __post_init__(self):
-        object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
+    signs: np.ndarray  # +/-1.0 float64 diagonal of length dim
 
 
 def make_rotation(dim: int, seed: int) -> RotationSpec:

@@ -2,18 +2,21 @@
 
 MXT1 holds a plain real tensor: magic "MXT1", a dtype byte (0 = 32-bit
 little-endian float), a dimension-count byte, the dims as unsigned 64-bit
-little-endian integers, then the row-major payload.
+little-endian integers, each at least 1, then the row-major payload.
 
 MXQ1 holds a QuantizedTensor: magic "MXQ1", the format and scale-mode names
 (each a length byte and its bytes), one fixed header (_QHEADER: group size
 or -1 for whole rows, axis, asymmetric flag, tensor-scale flag, tensor
-scale or 0.0, ndim), the original shape, element codes one per byte (low
-bits used), a group count, and per-group scale pairs as float64 values
-paired with 32-bit audit words, the words that scaling.scale_words gives
-under the config's scale mode. A zero-point config stores its scale's
-binary32 word and its zero point as a signed int32, whatever its scale
-mode. The reader recomputes every audit word and raises TensorFileError
-when one differs, when a scale is not finite, positive and on its mode's
+scale or 0.0, ndim), the original shape (dims at least 1, as in MXT1),
+element codes one per byte (low bits used), a group count, and per-group
+scale pairs as float64 values paired with 32-bit audit words, the words
+that scaling.scale_words gives under the config's scale mode. A zero-point
+config stores its scale's binary32 word and its zero point as a signed
+int32, whatever its scale mode. The tensor-scale flag is 1 exactly when
+the mode is nvfp4_double and the config is not zero-point (a zero-point
+config has no tensor scale), else 0. The reader raises TensorFileError
+when the flag breaks that rule, when an audit word differs from the one
+it recomputes, when a scale is not finite, positive and on its mode's
 grid, when a zero point is not an integer, or when bytes follow the scale
 records.
 """
@@ -65,6 +68,13 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _read_dims(fh, ndim, path) -> tuple:
+    dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
+    if any(d < 1 for d in dims):
+        raise TensorFileError(f"{path}: non-positive dimension in {dims}")
+    return dims
+
+
 def read_tensor(path) -> np.ndarray:
     """Read an MXT1 file (or a 2-D comma-separated CSV) as float64."""
     path = Path(path)
@@ -76,9 +86,7 @@ def read_tensor(path) -> np.ndarray:
         dtype, ndim = struct.unpack("<BB", _read_exact(fh, 2, "header"))
         if dtype != _DTYPE_F32:
             raise TensorFileError(f"{path}: unsupported dtype byte {dtype}")
-        dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
-        if any(d < 1 for d in dims):
-            raise TensorFileError(f"{path}: non-positive dimension in {dims}")
+        dims = _read_dims(fh, ndim, path)
         count = int(np.prod(dims, dtype=np.int64))
         payload = _read_exact(fh, 4 * count, "payload")
         if fh.read(1):
@@ -167,12 +175,14 @@ def read_quantized(path) -> QuantizedTensor:
         (ln,) = struct.unpack("<B", _read_exact(fh, 1, what))
         names.append(_read_exact(fh, ln, what))
     gs, axis, asym, has_ts, ts, ndim = _QHEADER.unpack(_read_exact(fh, _QHEADER.size, "header"))
-    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
+    shape = _read_dims(fh, ndim, path)
     try:
         fmt_name = names[0].decode() + ("_asym" if asym else "")
         cfg = config(fmt_name, names[1].decode(), None if gs == -1 else gs, axis)
     except (UnicodeDecodeError, ConfigError) as exc:
         raise TensorFileError(f"{path}: bad config names in header: {exc}") from None
+    if has_ts != (cfg.scale_mode.kind == "double" and not cfg.uses_zero_point):
+        raise TensorFileError(f"{path}: tensor-scale flag {has_ts} does not fit {cfg.label()}")
     try:
         moved, xg, _ = group_view(np.broadcast_to(np.uint8(0), shape), cfg.group_size, axis)
     except (ConfigError, ValueError) as exc:  # ValueError: dims too large to index

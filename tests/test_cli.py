@@ -1,11 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mxemu
 from mxemu import cli, config, dequantize, matmul, quantize, tensorfile
 
 
@@ -102,6 +105,19 @@ def test_unreadable_input_is_io_error(small_file, tmp_path, capsys, damage):
             fh.write(data[:-3])
     assert cli.main(["stats", "--in", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_input_exits_2_as_a_process(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "mxemu.cli", "stats", "--in",
+                           str(tmp_path / "missing.mxt")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(mxemu.__path__[0])})
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
+def test_zero_lloyd_iterations_is_config_error(small_file, capsys):
+    assert cli.main(["lloydmax", "--in", small_file, "--iters", "0"]) == 3
+    assert capsys.readouterr().err == "error: need at least 1 Lloyd iteration\n"
 
 
 class _ReadRecorder(argparse.Namespace):

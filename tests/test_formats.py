@@ -134,6 +134,11 @@ def test_bad_float_format_rejected(kwargs, match):
         formats.ElementFormat("bad_float", "float", **kwargs)
 
 
+def test_grid_of_an_unknown_kind_is_config_error():
+    with pytest.raises(ConfigError, match="unknown format kind 'bogus'"):
+        formats.grid(formats.ElementFormat("x", "bogus"))
+
+
 # ---- rounding ------------------------------------------------------------
 
 def test_round_examples():

@@ -37,6 +37,7 @@ def test_codebook_rejects_no_levels():
 @pytest.mark.parametrize("kwargs, match", [
     (dict(n_levels=1), "at least 2 codebook levels"),
     (dict(n_clusters=0), "at least 1 cluster"),
+    (dict(n_iters=0), "at least 1 Lloyd iteration"),
 ])
 def test_lloyd_config_rejects_bad_sizes(kwargs, match):
     with pytest.raises(ConfigError, match=match):
@@ -126,6 +127,11 @@ def test_undefined_kurtosis_gets_dedicated_cluster():
     labels = cluster_groups(stats, cfg)
     assert labels[0] == cfg.n_clusters
     assert labels[1] != cfg.n_clusters and labels[2] != cfg.n_clusters
+
+
+def test_no_groups_is_data_error():
+    with pytest.raises(DataError, match="no groups"):
+        cluster_groups(GroupStats(np.array([]), np.array([])), LloydConfig())
 
 
 def test_all_constant_groups_share_the_extra_cluster():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ def test_inf_rejected():
 def test_double_scale_requires_nvfp4_group_size():
     with pytest.raises(ConfigError, match="16, 32"):
         quantize(np.zeros(64), config("fp4_e2m1", "nvfp4_double", "row"))
+
+
+def test_double_scale_group_size_is_checked_when_the_config_is_built():
+    with pytest.raises(ConfigError, match="requires group size in"):
+        config("fp4_e2m1", "nvfp4_double", 64)
+    with pytest.raises(ConfigError, match="requires group size in"):
+        replace(config("fp4_e2m1", "nvfp4_double", 16), group_size=None)
 
 
 def test_group_size_row_string():

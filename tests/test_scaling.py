@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mxemu.errors import DataError
+from mxemu.errors import ConfigError, DataError
 from mxemu.formats import (
     FORMATS,
     get_format,
@@ -18,6 +18,7 @@ from mxemu.formats import (
 from mxemu.quantizer import config, quantize
 from mxemu.scaling import (
     SCALE_MODES,
+    ScaleMode,
     degenerate_scale,
     fp32_scale,
     fp_scale,
@@ -241,3 +242,8 @@ def test_scale_bits_pinned(fmt_name):
     finally:
         if fmt_name == "pinned_cb_1e30":
             FORMATS.pop(fmt_name)
+
+
+def test_group_scales_of_an_unknown_kind_is_config_error():
+    with pytest.raises(ConfigError, match="scale mode x has no scale rule"):
+        group_scales(np.ones((2, 16)), ScaleMode("x", "bogus"), FP4)

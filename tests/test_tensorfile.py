@@ -250,6 +250,49 @@ def test_mxq1_rejects_a_bad_tensor_scale(tmp_path, rng, ts):
         read_quantized(path)
 
 
+@pytest.mark.parametrize("name, mode, flag", [
+    ("fp4_e2m1_asym", "fp8e5m2", 1),  # set where the mode has no tensor scale
+    ("fp4_e2m1", "nvfp4_double", 0),  # cleared on an nvfp4_double file
+    ("fp4_e2m1", "nvfp4_double", 2),
+    ("int4_asym", "nvfp4_double", 1),  # set on a zero-point config
+])
+def test_mxq1_tensor_scale_flag_must_fit_the_config(tmp_path, rng, name, mode, flag):
+    cfg = config(name, mode, 16)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    flag_at = 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name) + 8 + 8 + 1
+    data[flag_at] = flag
+    if struct.unpack_from("<d", data, flag_at + 1)[0] == 0.0:  # no tensor scale was written
+        struct.pack_into("<d", data, flag_at + 1, 2.0)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match=f"tensor-scale flag {flag} does not fit"):
+        read_quantized(path)
+
+
+def test_mxq1_rejects_a_zero_dimension(tmp_path):
+    names = b"".join(bytes([len(n)]) + n for n in (b"fp4_e2m1", b"pot_floor"))
+    header = struct.pack("<qqBBdB", 32, -1, 0, 0, 0.0, 2) + struct.pack("<3Q", 0, 64, 0)
+    (tmp_path / "x.mxq").write_bytes(b"MXQ1" + names + header)
+    with pytest.raises(TensorFileError, match=r"non-positive dimension in \(0, 64\)"):
+        read_quantized(tmp_path / "x.mxq")
+
+
+def test_mxq1_rejects_nvfp4_double_at_group_size_64(tmp_path, rng):
+    cfg = config("fp4_e2m1", "nvfp4_double", 16)
+    q = quantize(rng.normal(0, 1, (4, 64)), cfg)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, q)
+    data = bytearray(path.read_bytes())
+    gs_at = 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name)
+    count_at = gs_at + 27 + 8 * len(q.shape) + q.codes.size
+    struct.pack_into("<q", data, gs_at, 64)
+    struct.pack_into("<Q", data, count_at, 4)  # the 4 groups of 64, each keeping a valid record
+    path.write_bytes(bytes(data[:count_at + 8 + 4 * 24]))
+    with pytest.raises(TensorFileError, match=r"requires group size in \(16, 32\)"):
+        read_quantized(path)
+
+
 def test_mxt1_writes_a_0d_array_as_one_element(tmp_path):
     write_tensor(tmp_path / "x.mxt", np.float64(2.5))
     back = read_tensor(tmp_path / "x.mxt")
