@@ -22,7 +22,7 @@ from .quantizer import config, dequantize, group_view, parse_group_size, quantiz
 
 
 _SHARED = {
-    "--in": dict(dest="infile", required=True, help="input tensor file (.mxt or .csv)"),
+    "--in": dict(dest="infile", required=True, help="input tensor file (.npy or .csv)"),
     "--format": dict(required=True, help="element format name (append _asym for asymmetric)"),
     "--scale": dict(default="pot_floor", help="shared-scale mode name"),
     "--group-size": dict(default="row", help='group size or "row"'),

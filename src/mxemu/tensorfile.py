@@ -1,24 +1,25 @@
-"""Binary tensor containers and CSV import.
+"""Tensor files: NumPy .npy and CSV for plain tensors, MXQ1 for quantized ones.
 
-MXT1 holds a plain real tensor: magic "MXT1", a dtype byte (0 = 32-bit
-little-endian float), a dimension-count byte, the dims as unsigned 64-bit
-little-endian integers, each at least 1, then the row-major payload.
+A plain tensor is written as a float64 .npy file. The reader takes CSV by
+suffix; any other file must be a version 1.0 .npy file (np.save's version
+for any float array) of float16, float32 or float64, at least 1-D with every
+dim at least 1, whose payload ends the file.
 
 MXQ1 holds a QuantizedTensor: magic "MXQ1", the format and scale-mode names
 (each a length byte and its bytes), one fixed header (_QHEADER: group size
 or -1 for whole rows, axis, asymmetric flag, tensor-scale flag, tensor
-scale or 0.0, ndim), the original shape (dims at least 1, as in MXT1),
-element codes one per byte (low bits used), a group count, and per-group
-scale pairs as float64 values paired with 32-bit audit words, the words
-that scaling.scale_words gives under the config's scale mode. A zero-point
-config stores its scale's binary32 word and its zero point as a signed
-int32, whatever its scale mode. The tensor-scale flag is 1 exactly when
-the mode is nvfp4_double and the config is not zero-point (a zero-point
-config has no tensor scale), else 0. The reader raises TensorFileError
-when the flag breaks that rule, when an audit word differs from the one
-it recomputes, when a scale is not finite, positive and on its mode's
-grid, when a zero point is not an integer, or when bytes follow the scale
-records.
+scale or +0.0, ndim), the original shape (unsigned 64-bit dims, each at
+least 1), element codes one per byte (low bits used), a group count, and
+per-group scale pairs as float64 values paired with 32-bit audit words, the
+words that scaling.scale_words gives under the config's scale mode. A
+zero-point config stores its scale's binary32 word and its zero point as a
+signed int32, whatever its scale mode. The tensor-scale flag is 1 exactly
+when the mode is nvfp4_double and the config is not zero-point (a
+zero-point config has no tensor scale), else 0 with the field +0.0. The
+reader raises TensorFileError when the header breaks that rule, when an
+audit word differs from the one it recomputes, when a scale is not finite,
+positive and on its mode's grid, when a zero point is not an integer, or
+when bytes follow the scale records.
 """
 
 from __future__ import annotations
@@ -34,16 +35,9 @@ from .errors import ConfigError, DataError, TensorFileError
 from .quantizer import QuantizedTensor, config, group_view
 from .scaling import SCALE_MODES, scale_words
 
-__all__ = [
-    "read_tensor",
-    "write_tensor",
-    "read_quantized",
-    "write_quantized",
-]
+__all__ = ["read_tensor", "write_tensor", "read_quantized", "write_quantized"]
 
-_MAGIC = b"MXT1"
 _QMAGIC = b"MXQ1"
-_DTYPE_F32 = 0
 # the MXQ1 header after the names (see the module docstring)
 _QHEADER = struct.Struct("<qqBBdB")
 # one MXQ1 scale record: the scale pair and their 32-bit audit words
@@ -51,14 +45,9 @@ _SCALE_RECORD = np.dtype([("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nb
 
 
 def write_tensor(path, array) -> None:
-    arr = np.asarray(array, dtype=np.float32)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BB", _DTYPE_F32, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+    arr = np.asarray(array, dtype=np.float64)
+    with open(path, "wb") as fh:  # a file handle, so np.save appends no suffix
+        np.save(fh, arr.reshape(arr.shape or 1), allow_pickle=False)
 
 
 def _read_exact(fh, n, what):
@@ -68,30 +57,29 @@ def _read_exact(fh, n, what):
     return buf
 
 
-def _read_dims(fh, ndim, path) -> tuple:
-    dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
-    if any(d < 1 for d in dims):
-        raise TensorFileError(f"{path}: non-positive dimension in {dims}")
-    return dims
-
-
 def read_tensor(path) -> np.ndarray:
-    """Read an MXT1 file (or a 2-D comma-separated CSV) as float64."""
+    """Read a float .npy file (or a 2-D comma-separated CSV) as C-ordered float64."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _read_csv(path)
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _MAGIC:
-            raise TensorFileError(f"{path}: bad magic, not an MXT1 tensor file")
-        dtype, ndim = struct.unpack("<BB", _read_exact(fh, 2, "header"))
-        if dtype != _DTYPE_F32:
-            raise TensorFileError(f"{path}: unsupported dtype byte {dtype}")
-        dims = _read_dims(fh, ndim, path)
-        count = int(np.prod(dims, dtype=np.int64))
-        payload = _read_exact(fh, 4 * count, "payload")
-        if fh.read(1):
-            raise TensorFileError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("only .npy version 1.0 is read")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise TensorFileError(f"{path}: not a .npy tensor file: {exc}") from None
+        if dtype.kind != "f" or dtype.itemsize > 8:
+            raise TensorFileError(f"{path}: dtype {dtype} is not float16, float32 or float64")
+        if not shape or min(shape) < 1:
+            raise TensorFileError(f"{path}: shape {shape} is 0-d or has a non-positive dimension")
+        # held to the file size before anything of the claimed size is allocated
+        want, left = math.prod(shape) * dtype.itemsize, path.stat().st_size - fh.tell()
+        if left != want:
+            what = "truncated payload" if left < want else "trailing bytes after payload"
+            raise TensorFileError(f"{path}: {what}: {left} bytes for {want}")
+        flat = np.fromfile(fh, dtype, math.prod(shape))
+    return np.ascontiguousarray(flat.reshape(shape, order="F" if fortran else "C"), np.float64)
 
 
 def _read_csv(path) -> np.ndarray:
@@ -166,8 +154,7 @@ def _check_scales(path, rec, cfg) -> None:
 
 
 def read_quantized(path) -> QuantizedTensor:
-    data = Path(path).read_bytes()
-    fh = io.BytesIO(data)
+    fh = io.BytesIO(Path(path).read_bytes())
     if _read_exact(fh, 4, "magic") != _QMAGIC:
         raise TensorFileError(f"{path}: bad magic, not an MXQ1 file")
     names = []
@@ -175,7 +162,9 @@ def read_quantized(path) -> QuantizedTensor:
         (ln,) = struct.unpack("<B", _read_exact(fh, 1, what))
         names.append(_read_exact(fh, ln, what))
     gs, axis, asym, has_ts, ts, ndim = _QHEADER.unpack(_read_exact(fh, _QHEADER.size, "header"))
-    shape = _read_dims(fh, ndim, path)
+    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
+    if any(d < 1 for d in shape):
+        raise TensorFileError(f"{path}: non-positive dimension in {shape}")
     try:
         fmt_name = names[0].decode() + ("_asym" if asym else "")
         cfg = config(fmt_name, names[1].decode(), None if gs == -1 else gs, axis)
@@ -187,8 +176,7 @@ def read_quantized(path) -> QuantizedTensor:
         moved, xg, _ = group_view(np.broadcast_to(np.uint8(0), shape), cfg.group_size, axis)
     except (ConfigError, ValueError) as exc:  # ValueError: dims too large to index
         raise TensorFileError(f"{path}: header does not fit shape {shape}: {exc}") from None
-    codes = np.frombuffer(_read_exact(fh, moved.size, "codes"), dtype=np.uint8)
-    codes = codes.reshape(moved.shape)
+    codes = np.frombuffer(_read_exact(fh, moved.size, "codes"), np.uint8).reshape(moved.shape)
     (n_groups,) = struct.unpack("<Q", _read_exact(fh, 8, "group count"))
     groups = xg.shape[:-1]
     if n_groups != math.prod(groups):
@@ -203,5 +191,7 @@ def read_quantized(path) -> QuantizedTensor:
     _check_scales(path, rec, cfg)
     if has_ts and not (math.isfinite(ts) and ts > 0):
         raise TensorFileError(f"{path}: the tensor scale is not finite and positive")
+    if not has_ts and (ts != 0 or math.copysign(1.0, ts) < 0):
+        raise TensorFileError(f"{path}: tensor-scale field {ts!r} is not +0.0 with the flag 0")
     scales = np.stack([rec["pos"], rec["neg"]], axis=-1).reshape(*groups, 2)
-    return QuantizedTensor(tuple(shape), cfg, codes, scales, ts if has_ts else None)
+    return QuantizedTensor(shape, cfg, codes, scales, ts if has_ts else None)

@@ -57,7 +57,7 @@ def test_matmul_writes_the_emulated_product(small_file, rng, tmp_path, capsys):
     cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
     expect = matmul(tensorfile.read_tensor(small_file), tensorfile.read_tensor(b_path),
                     cfg, replace(cfg, axis=0))
-    np.testing.assert_array_equal(tensorfile.read_tensor(out), expect.astype(np.float32))
+    np.testing.assert_array_equal(tensorfile.read_tensor(out), expect)
     with pytest.raises(SystemExit):  # the float64 oracle check is no longer a CLI option
         cli.main(argv + ["--oracle-check"])
 
@@ -70,11 +70,39 @@ def test_quantize_writes_its_outputs(small_file, tmp_path, capsys):
     q = quantize(tensorfile.read_tensor(small_file), config("fp4_e2m1_asym", "fp8e5m2", 32))
     y = dequantize(q)
     assert capsys.readouterr().out.split() == [repr(float(v)) for v in np.unique(y)]
-    np.testing.assert_array_equal(tensorfile.read_tensor(out), y.astype(np.float32))
+    np.testing.assert_array_equal(tensorfile.read_tensor(out), y)
     back = tensorfile.read_quantized(dump)
     assert back.config == q.config
     np.testing.assert_array_equal(back.codes, q.codes)
     np.testing.assert_array_equal(back.scales, q.scales)
+
+
+def _assert_same_bits(got, expect):
+    assert got.dtype == expect.dtype == np.float64 and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("fmt, mode, gs", [("fp4_e2m1", "nvfp4_double", 16),
+                                           ("fp8_e4m3", "fp32", 32)])
+def test_quantize_out_holds_the_librarys_bits(small_file, tmp_path, fmt, mode, gs):
+    out = str(tmp_path / "y.npy")
+    argv = ["quantize", "--in", small_file, "--format", fmt, "--scale", mode,
+            "--group-size", str(gs), "--out", out]
+    assert cli.main(argv) == 0
+    expect = dequantize(quantize(tensorfile.read_tensor(small_file), config(fmt, mode, gs)))
+    _assert_same_bits(tensorfile.read_tensor(out), expect)
+
+
+def test_matmul_out_holds_the_librarys_bits(small_file, rng, tmp_path):
+    b_path, out = str(tmp_path / "b.npy"), str(tmp_path / "y.npy")
+    tensorfile.write_tensor(b_path, rng.normal(0, 1, (64, 4)))
+    argv = ["matmul", "--in", small_file, "--in-b", b_path, "--out", out,
+            "--format", "fp8_e4m3", "--scale", "fp32", "--group-size", "32"]
+    assert cli.main(argv) == 0
+    cfg = config("fp8_e4m3", "fp32", 32)
+    expect = matmul(tensorfile.read_tensor(small_file), tensorfile.read_tensor(b_path),
+                    cfg, replace(cfg, axis=0))
+    _assert_same_bits(tensorfile.read_tensor(out), expect)
 
 
 def test_rotate_transpose_undoes_the_rotation(small_file, tmp_path, capsys):
@@ -85,7 +113,7 @@ def test_rotate_transpose_undoes_the_rotation(small_file, tmp_path, capsys):
         "rotated dim=64 seed=3 transpose=False", "rotated dim=64 seed=3 transpose=True"]
     x = tensorfile.read_tensor(small_file)
     assert not np.allclose(tensorfile.read_tensor(fwd), x)
-    np.testing.assert_allclose(tensorfile.read_tensor(back), x, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(tensorfile.read_tensor(back), x, rtol=0, atol=1e-14)
 
 
 def test_rotate_out_of_range_dim_axis_is_config_error(tmp_path, capsys):

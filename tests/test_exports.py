@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,34 @@ def test_private_use_check_sees_each_form():
     src = ("from .quantizer import _grouped\nfrom mxemu.formats import _tables\n"
            "from . import analysis\nimport mxemu.gemm as g\nanalysis._seq_sum(g._fold)\n")
     assert _private_uses(ast.parse(src)) == ["_grouped", "_tables", "analysis._seq_sum", "g._fold"]
+
+
+def _top_level_imports(tree):
+    """The top-level names of the modules that a module imports absolutely."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_top_level_import_check_sees_each_form():
+    src = ("import os.path\nimport numpy as np\nfrom scipy.linalg import hadamard\n"
+           "from . import gemm\n")
+    assert _top_level_imports(ast.parse(src)) == {"os", "numpy", "scipy"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_declared_dependencies_are_the_imported_packages():
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    imported = set()
+    for path in (root / "src" / "mxemu").glob("*.py"):
+        imported |= _top_level_imports(ast.parse(path.read_text()))
+    third_party = imported - set(sys.stdlib_module_names) - {"mxemu"}
+    assert third_party == {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in declared}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import (
     FORMATS,
+    encode,
     get_format,
     grid,
     max_normal,
@@ -27,6 +28,7 @@ from mxemu.scaling import (
     nvfp4_scales,
     pot_floor_scale,
     pot_round_scale,
+    scale_words,
 )
 
 FP4 = get_format("fp4_e2m1")
@@ -247,3 +249,47 @@ def test_scale_bits_pinned(fmt_name):
 def test_group_scales_of_an_unknown_kind_is_config_error():
     with pytest.raises(ConfigError, match="scale mode x has no scale rule"):
         group_scales(np.ones((2, 16)), ScaleMode("x", "bogus"), FP4)
+
+
+@pytest.mark.parametrize("mode", ["pot_floor", "pot_round"])
+def test_scale_words_of_a_power_of_two_is_its_biased_exponent(mode):
+    e = np.arange(-127, 128)
+    words = scale_words(np.ldexp(1.0, e), SCALE_MODES[mode])
+    assert words.dtype == np.uint32
+    np.testing.assert_array_equal(words, e + 127)
+
+
+@pytest.mark.parametrize("mode", ["fp8e4m3", "fp8e5m2", "fp16", "nvfp4_double"])
+def test_scale_words_of_a_float_scale_is_its_code_on_the_scale_grid(mode):
+    fmt = SCALE_MODES[mode].scale_fmt
+    on_grid = grid(fmt)[grid(fmt) > 0]
+    words = scale_words(on_grid, SCALE_MODES[mode])
+    assert words.dtype == np.uint32
+    np.testing.assert_array_equal(words, encode(on_grid, fmt))
+
+
+def test_scale_words_of_an_fp32_scale_is_its_binary32_bit_pattern(rng):
+    scales = np.r_[np.abs(rng.normal(0, 1, 64)).astype(np.float32), 2.0**-149, 2.0**127,
+                   np.finfo(np.float32).max].astype(float)
+    words = scale_words(scales, SCALE_MODES["fp32"])
+    assert words.dtype == np.uint32
+    np.testing.assert_array_equal(words, scales.astype(np.float32).view(np.uint32))
+
+
+@pytest.mark.parametrize("mode", sorted(SCALE_MODES))
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_scale_words_rejects_a_scale_that_is_not_finite_and_positive(mode, bad):
+    with pytest.raises(DataError, match="finite and positive"):
+        scale_words(np.array([1.0, bad]), SCALE_MODES[mode])
+
+
+# a value between two neighbours of each mode's scale grid
+_OFF_GRID = {"pot_floor": 0.75, "pot_round": 0.75, "fp8e4m3": 1.0625, "fp8e5m2": 1.125,
+             "fp16": 1 + 2.0**-11, "nvfp4_double": 1.0625, "fp32": 0.1}
+
+
+@pytest.mark.parametrize("mode", sorted(_OFF_GRID))
+def test_scale_words_rejects_an_off_grid_scale(mode):
+    assert sorted(_OFF_GRID) == sorted(SCALE_MODES)
+    with pytest.raises(DataError):
+        scale_words(np.array([1.0, _OFF_GRID[mode]]), SCALE_MODES[mode])

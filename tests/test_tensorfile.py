@@ -1,5 +1,7 @@
 import hashlib
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,20 +198,80 @@ def test_bad_csv_raises(tmp_path, text, match):
         read_tensor(path)
 
 
-@pytest.mark.parametrize("damage, match", [
-    (lambda b: b"MXT2" + b[4:], "bad magic"),
-    (lambda b: b[:-1], "truncated"),
-    (lambda b: b[:5], "truncated"),
-    (lambda b: b[:4] + b"\x07" + b[5:], "unsupported dtype byte 7"),
-    (lambda b: b[:6] + struct.pack("<Q", 0) + b[14:], "non-positive dimension"),
-    (lambda b: b + b"\x00", "trailing bytes"),
-])
-def test_damaged_mxt1_raises(tmp_path, rng, damage, match):
-    path = tmp_path / "x.mxt"
+def _npy(arr, allow_pickle=False, version=None):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asanyarray(arr), version, allow_pickle)
+    return buf.getvalue()
+
+
+def _npz(arr):
+    buf = io.BytesIO()
+    np.savez(buf, x=arr)
+    return buf.getvalue()
+
+
+# one case per reader check: the file's new bytes, from those of a valid 3x4 file
+_DAMAGED_NPY = {
+    "bad magic": (lambda b: b"X" + b[1:], "not a .npy tensor file"),
+    "npz archive": (lambda b: _npz(np.ones((3, 4))), "not a .npy tensor file"),
+    "empty file": (lambda b: b"", "not a .npy tensor file"),
+    "truncated header": (lambda b: b[:20], "not a .npy tensor file"),
+    "version 2.0": (lambda b: _npy(np.ones((3, 4)), version=(2, 0)), "version 1.0"),
+    "truncated payload": (lambda b: b[:-1], "truncated payload: 95 bytes for 96"),
+    "trailing byte": (lambda b: b + b"\x00", "trailing bytes after payload: 97 bytes for 96"),
+    "int64 dtype": (lambda b: _npy(np.arange(12).reshape(3, 4)), "dtype int64 is not float"),
+    "complex dtype": (lambda b: _npy(np.ones((3, 4), complex)), "dtype complex128 is not float"),
+    "object dtype": (lambda b: _npy(np.ones((3, 4), object), True), "dtype object is not float"),
+    "longdouble dtype": (lambda b: _npy(np.ones((3, 4), np.longdouble)), "is not float16"),
+    "0-d array": (lambda b: _npy(np.float64(2.5)), r"shape \(\) is 0-d"),
+    "zero dimension": (lambda b: _npy(np.ones((3, 0))), r"shape \(3, 0\) .* non-positive"),
+}
+
+
+@pytest.mark.parametrize("case", _DAMAGED_NPY)
+def test_damaged_npy_raises(tmp_path, rng, case):
+    damage, match = _DAMAGED_NPY[case]
+    path = tmp_path / "x.npy"
     write_tensor(path, rng.normal(0, 1, (3, 4)))
+    assert len(path.read_bytes()) == 128 + 96
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(TensorFileError, match=match):
         read_tensor(path)
+
+
+def test_npy_header_claiming_more_than_the_file_fails_before_allocating(tmp_path):
+    data = _npy(np.ones(4))
+    claim = f"({2**40},)".encode()  # 12 bytes longer, taken from the header's padding
+    huge = data.replace(b"(4,)", claim).replace(b" " * 12 + b"\n", b"\n")
+    assert claim in huge and len(huge) == len(data)
+    path = tmp_path / "x.npy"
+    path.write_bytes(huge)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFileError, match="truncated payload"):
+            read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("dtype", ["<f2", "<f4", ">f4", "<f8", ">f8"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_npy_float_inputs_read_back_as_c_ordered_float64(tmp_path, rng, dtype, order):
+    stored = np.asarray(rng.normal(0, 1, (3, 5, 4)), dtype=dtype, order=order)
+    (tmp_path / "x.npy").write_bytes(_npy(stored))
+    got = read_tensor(tmp_path / "x.npy")
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, stored.astype(np.float64))
+
+
+def test_npy_round_trip_keeps_every_float64_bit(tmp_path, rng):
+    x = np.r_[rng.normal(0, 1, 61), 0.1, -0.0, 5e-324].reshape(8, 8)
+    write_tensor(tmp_path / "x.mxt", x)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.mxt"]  # no .npy suffix added
+    assert np.load(tmp_path / "x.mxt").dtype == np.float64
+    assert read_tensor(tmp_path / "x.mxt").tobytes() == x.tobytes()
 
 
 def test_mxq1_round_trip_of_an_underflowing_nvfp4_tensor_scale(tmp_path):
@@ -231,10 +293,10 @@ def test_mxq1_rejects_trailing_bytes(tmp_path, rng):
         read_quantized(path)
 
 
-def test_mxq1_reader_rejects_an_mxt1_file(tmp_path, rng):
-    write_tensor(tmp_path / "x.mxt", rng.normal(0, 1, (4, 64)))
+def test_mxq1_reader_rejects_a_plain_tensor_file(tmp_path, rng):
+    write_tensor(tmp_path / "x.npy", rng.normal(0, 1, (4, 64)))
     with pytest.raises(TensorFileError, match="not an MXQ1 file"):
-        read_quantized(tmp_path / "x.mxt")
+        read_quantized(tmp_path / "x.npy")
 
 
 @pytest.mark.parametrize("ts", [np.inf, np.nan, 0.0])
@@ -247,6 +309,20 @@ def test_mxq1_rejects_a_bad_tensor_scale(tmp_path, rng, ts):
     struct.pack_into("<d", data, ts_at, ts)
     path.write_bytes(bytes(data))
     with pytest.raises(TensorFileError, match="tensor scale is not finite and positive"):
+        read_quantized(path)
+
+
+@pytest.mark.parametrize("ts", [np.nan, 1.0, -0.0])
+def test_mxq1_tensor_scale_field_must_be_positive_zero_with_the_flag_0(tmp_path, rng, ts):
+    cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    flag_at = 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name) + 8 + 8 + 1
+    assert data[flag_at] == 0 and data[flag_at + 1:flag_at + 9] == bytes(8)
+    struct.pack_into("<d", data, flag_at + 1, ts)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match=r"field .* is not \+0\.0 with the flag 0"):
         read_quantized(path)
 
 
@@ -293,9 +369,9 @@ def test_mxq1_rejects_nvfp4_double_at_group_size_64(tmp_path, rng):
         read_quantized(path)
 
 
-def test_mxt1_writes_a_0d_array_as_one_element(tmp_path):
-    write_tensor(tmp_path / "x.mxt", np.float64(2.5))
-    back = read_tensor(tmp_path / "x.mxt")
+def test_npy_writes_a_0d_array_as_one_element(tmp_path):
+    write_tensor(tmp_path / "x.npy", np.float64(2.5))
+    back = read_tensor(tmp_path / "x.npy")
     assert back.shape == (1,) and back[0] == 2.5
 
 
