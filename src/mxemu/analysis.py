@@ -10,17 +10,20 @@ error decomposes exhaustively into a clamping part (elements whose scaled
 magnitude exceeds the format's max normal, or whose zero-point code
 saturates, as quantizer.quantize_with_clamps reports them) and a rounding
 part; the report's mse is defined as (clamp + round) / count so the
-decomposition identity is exact in float64.
+decomposition identity is exact in float64. Both walk the grouped view in
+the blocks of quantizer.row_blocks: error_decomposition quantizes a block at
+a time, sums each group inside it, and folds all group subtotals at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .quantizer import QuantConfig, dequantize, group_view, quantize_with_clamps, validate_input
+from .quantizer import (QuantConfig, dequantize, group_view, quantize_with_clamps, row_blocks,
+                        validate_input)
 
 __all__ = [
     "GroupStats",
@@ -45,15 +48,16 @@ class GroupStats:
 def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     """Per-group mean and kurtosis along the grouping axis of a nonempty, finite x."""
     _, xg, gs = group_view(validate_input(x), group_size, axis)
-    flat = xg.reshape(-1, gs)
-    mean = flat.mean(axis=1)
-    z = flat - mean[:, None]
-    sigma = np.sqrt((z**2).mean(axis=1))
-    # normalize first (scale-invariant), into C order so that each row sums
-    # like a 1-D mean whatever the grouping axis
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.divide(z, sigma[:, None], order="C")
-    return GroupStats(mean, np.where(sigma > 0, (z**4).mean(axis=1), np.nan))
+    mean, kurtosis = np.empty((2, xg.size // gs))
+    for groups, flat in row_blocks(xg):
+        # C-ordered blocks of groups: each group sums like a 1-D mean, whatever the axis
+        m = mean[groups] = flat.mean(axis=1)
+        z = flat - m[:, None]
+        sigma = np.sqrt((z**2).mean(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):  # normalize first (scale-invariant)
+            z /= sigma[:, None]
+        kurtosis[groups] = np.where(sigma > 0, (z**4).mean(axis=1), np.nan)
+    return GroupStats(mean, kurtosis)
 
 
 @dataclass(frozen=True)
@@ -115,20 +119,23 @@ class ErrorReport:
     round_sq_per_group: np.ndarray
 
     @classmethod
-    def fold(cls, sq: np.ndarray, clamped: np.ndarray) -> ErrorReport:
-        """Report of squared errors sq, grouped along the last axis, whose
-        clamped elements count as clamp error and all others as round error.
+    def fold(cls, blocks, count: int) -> ErrorReport:
+        """Report of count squared errors, given as (sq, clamped) blocks of
+        whole groups along the last axis in ascending group order; clamped
+        elements count as clamp error and all others as round error.
 
         Per-group sums fold left-to-right over elements; group subtotals
-        combine in ascending group order; mse is (clamp + round) / sq.size,
-        making clamp_sq_error + round_sq_error == mse * count an identity.
+        of all blocks then combine in one fold, in ascending group order;
+        mse is (clamp + round) / count, making clamp_sq_error +
+        round_sq_error == mse * count an identity.
         """
-        clamp_g = _seq_sum(np.where(clamped, sq, 0.0)).ravel()
-        round_g = _seq_sum(np.where(clamped, 0.0, sq)).ravel()
+        sums = [(_seq_sum(np.where(clamped, sq, 0.0)).ravel(),
+                 _seq_sum(np.where(clamped, 0.0, sq)).ravel()) for sq, clamped in blocks]
+        clamp_g, round_g = (np.concatenate(side) for side in zip(*sums))
         clamp_total = float(_seq_sum(clamp_g))
         round_total = float(_seq_sum(round_g))
         total = clamp_total + round_total
-        return cls(total / sq.size, clamp_total, round_total, clamp_g, round_g)
+        return cls(total / count, clamp_total, round_total, clamp_g, round_g)
 
     def as_dict(self):
         return {
@@ -144,8 +151,14 @@ def _seq_sum(a: np.ndarray) -> np.ndarray:
 
 
 def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:
-    """Quantize x under cfg and split squared error into clamp/round parts
-    (see ErrorReport.fold for the fold order)."""
-    q, clamped = quantize_with_clamps(x, cfg)
-    sq = (np.asarray(x, dtype=float) - dequantize(q)) ** 2
-    return ErrorReport.fold(*(group_view(a, cfg.group_size, cfg.axis)[1] for a in (sq, clamped)))
+    """Quantize x under cfg and split squared error into clamp/round parts,
+    block by block (see ErrorReport.fold for the fold order)."""
+    arr = validate_input(x)
+    xg = group_view(arr, cfg.group_size, cfg.axis)[1]
+    block_cfg, tensor_amax = replace(cfg, axis=-1), float(max(arr.max(), -arr.min()))
+
+    def errors(block):
+        q, clamped = quantize_with_clamps(block, block_cfg, tensor_amax=tensor_amax)
+        return (block - dequantize(q)) ** 2, clamped
+
+    return ErrorReport.fold((errors(block) for _, block in row_blocks(xg)), arr.size)

@@ -250,6 +250,6 @@ def reference_quantize(
         start = asym_grid_codebook(pool) if init == "format_grid" else None
         out_groups[sel] = lloyd_fit(pool, cfg, init=start)[0].quantize_values(pool)
     sq = (flat_groups - out_groups) ** 2
-    report = ErrorReport.fold(sq, np.zeros(sq.shape, dtype=bool))
+    report = ErrorReport.fold([(sq, np.zeros(sq.shape, dtype=bool))], sq.size)
     out = out_groups.reshape(moved.shape)
     return np.ascontiguousarray(np.moveaxis(out, -1, axis)), report

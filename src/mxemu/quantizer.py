@@ -29,10 +29,17 @@ overflows it raises DataError.
 All arithmetic is float64 and deterministic: quantizing the same tensor
 with the same config always yields bitwise-identical codes, scales, and
 dequantized values, regardless of group count or processing order.
+
+Groups are independent, so quantize and dequantize walk them in blocks of
+at most BLOCK_ELEMS elements (row_blocks over the grouped view) and write
+into preallocated outputs, so no temporary is the size of the tensor. The
+one coupling across blocks, the nvfp4_double tensor amax, comes from a first
+pass over the whole tensor. BLOCK_ELEMS is a constant: no size changes a bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +55,7 @@ __all__ = [
     "config",
     "parse_group_size",
     "group_view",
+    "row_blocks",
     "validate_input",
     "quantize",
     "quantize_with_clamps",
@@ -126,10 +134,8 @@ def validate_input(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DataError("empty input tensor")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        raise DataError(f"non-finite input value at flat index {idx}")
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # both propagate NaN
+        raise DataError(f"non-finite input value at flat index {np.argmin(np.isfinite(arr))}")
     return arr
 
 
@@ -155,34 +161,69 @@ def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
     return moved, moved.reshape(*moved.shape[:-1], n // gs, gs), gs
 
 
+BLOCK_ELEMS = 1 << 16  # elements in one block of row_blocks: 512 KB of float64
+
+
+def row_blocks(a: np.ndarray):
+    """Yield (rows, block) over a viewed as (R, n) rows, such as the groups of
+    a grouped view: rows slices the row indices in row-major order, and block
+    holds those rows as a C-ordered (rows, n) array, a view where they are one
+    already. A block holds at most BLOCK_ELEMS elements, or else one row."""
+    n, lead = a.shape[-1], a.shape[:-1]
+    count, step = math.prod(lead), max(1, BLOCK_ELEMS // n)
+    # a view where the leading axes merge; else each block is gathered
+    flat = a.reshape(count, n) if len(lead) < 2 or a.flags.c_contiguous else None
+    for start in range(0, count, step):
+        rows = slice(start, min(start + step, count))
+        block = (flat[rows] if flat is not None
+                 else a[np.unravel_index(np.arange(start, rows.stop), lead)])
+        yield rows, np.ascontiguousarray(block)
+
+
 def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
     """Quantize a real tensor group-wise under cfg."""
-    return _quantize(x, cfg)[0]
+    return _quantize(x, cfg, None, with_clamps=False)[0]
 
 
-def quantize_with_clamps(x, cfg: QuantConfig):
+def quantize_with_clamps(x, cfg: QuantConfig, *, tensor_amax=None):
     """quantize(x, cfg) and a boolean mask, in x's layout, of the elements
     that clamp: their scaled magnitude exceeds the format's max normal, or
-    their zero-point code falls outside [0, 2**bits - 1] before the clip."""
-    q, pre = _quantize(x, cfg)
-    if cfg.uses_zero_point:
-        clamped = (pre < 0) | (pre > 2**cfg.fmt.total_bits - 1)
-    else:
-        clamped = np.abs(pre, out=pre) > formats.max_normal(cfg.fmt)
-    return q, np.moveaxis(clamped.reshape(q.codes.shape), -1, cfg.axis)
+    their zero-point code falls outside [0, 2**bits - 1] before the clip.
+
+    tensor_amax, the max |x| of a tensor that x is a block of, replaces x's
+    own as the nvfp4_double tensor amax: x then quantizes as inside it.
+    """
+    q, clamped = _quantize(x, cfg, tensor_amax, with_clamps=True)
+    return q, np.moveaxis(clamped, -1, cfg.axis)
 
 
-def _quantize(x, cfg: QuantConfig):
-    """The QuantizedTensor and the grouped values before rounding: x / scale,
-    or the zero-point code before its clip."""
+def _quantize(x, cfg: QuantConfig, tensor_amax, with_clamps: bool):
+    """The QuantizedTensor of x and, if asked, its clamp mask in the moved layout."""
     arr = validate_input(x)
-    moved, xg, _ = group_view(arr, cfg.group_size, cfg.axis)
+    moved, xg, gs = group_view(arr, cfg.group_size, cfg.axis)
+    if tensor_amax is None and cfg.scale_mode.kind == "double":
+        tensor_amax = float(max(arr.max(), -arr.min()))  # the first pass: one tensor scale
+    codes = np.empty(moved.shape, np.uint8 if cfg.fmt.total_bits <= 8 else np.uint16)
+    scales = np.empty((*xg.shape[:-1], 2))
+    clamped = np.empty(moved.shape, bool) if with_clamps else None
+    code_groups, scale_pairs, tensor_scale = codes.reshape(-1, gs), scales.reshape(-1, 2), None
+    for groups, block in row_blocks(xg):
+        if cfg.uses_zero_point:
+            code_groups[groups], scale_pairs[groups], pre = _quantize_zero_point(block, cfg)
+        else:
+            code_groups[groups], scale_pairs[groups], tensor_scale, pre = _quantize_scaled(
+                block, cfg, tensor_amax)
+        if with_clamps:
+            clamped.reshape(-1, gs)[groups] = (
+                (pre < 0) | (pre > 2**cfg.fmt.total_bits - 1) if cfg.uses_zero_point
+                else np.abs(pre, out=pre) > formats.max_normal(cfg.fmt))
+    return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale), clamped
 
-    if cfg.uses_zero_point:
-        codes, scales, pre = _quantize_zero_point(xg, cfg)
-        return QuantizedTensor(arr.shape, cfg, codes.reshape(moved.shape), scales), pre
 
-    pos_s, neg_s, tensor_scale = scaling.group_scales(xg, cfg.scale_mode, cfg.fmt, cfg.asymmetric)
+def _quantize_scaled(xg: np.ndarray, cfg: QuantConfig, tensor_amax):
+    """Codes, scale pairs, tensor scale and x / scale of the groups of xg."""
+    pos_s, neg_s, tensor_scale = scaling.group_scales(
+        xg, cfg.scale_mode, cfg.fmt, cfg.asymmetric, tensor_amax=tensor_amax)
     scales = np.stack([pos_s, neg_s], axis=-1)
     applied = scales if tensor_scale is None else scales * tensor_scale
     sel = _side_scales(applied, xg < 0) if cfg.asymmetric else applied[..., :1]
@@ -192,8 +233,7 @@ def _quantize(x, cfg: QuantConfig):
         pre = xg / np.where(sel > 0, sel, 1.0)
         group = _side_scales(scales, xg < 0) if cfg.asymmetric else scales[..., :1]
         np.divide(xg / tensor_scale, group, out=pre, where=sel == 0)
-    codes = formats.round_to_codes(pre, cfg.fmt).reshape(moved.shape)
-    return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale), pre
+    return formats.round_to_codes(pre, cfg.fmt), scales, tensor_scale, pre
 
 
 def _side_scales(scales: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -227,17 +267,18 @@ def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the real tensor: (-1)^s * |grid value| * scale(side)."""
     cfg = q.config
-    _, cg, _ = group_view(q.codes, cfg.group_size)
-
-    if cfg.uses_zero_point:
-        vals = (cg - q.scales[..., 1:]) * q.scales[..., :1]
-    else:
-        vals = formats.decode(cg, cfg.fmt)
-        vals *= _side_scales(q.scales, vals < 0) if cfg.asymmetric else q.scales[..., :1]
-        if q.tensor_scale is not None:
-            vals *= q.tensor_scale
-
-    out = vals.reshape(q.codes.shape)
+    _, cg, gs = group_view(q.codes, cfg.group_size)
+    out = np.empty(q.codes.shape)
+    out_groups, scale_pairs = out.reshape(-1, gs), q.scales.reshape(-1, 2)
+    for groups, block in row_blocks(cg):
+        s, vals = scale_pairs[groups], out_groups[groups]  # views: each block writes in place
+        if cfg.uses_zero_point:
+            np.multiply(block - s[:, 1:], s[:, :1], out=vals)
+        else:
+            grid = formats.decode(block, cfg.fmt)
+            np.multiply(grid, _side_scales(s, grid < 0) if cfg.asymmetric else s[:, :1], out=vals)
+            if q.tensor_scale is not None:
+                vals *= q.tensor_scale
     return np.ascontiguousarray(np.moveaxis(out, -1, cfg.axis))
 
 

@@ -5,6 +5,8 @@ matrix and D a +/-1 diagonal derived from a splitmix64 stream, so the same
 (dim, seed) pair reproduces the same rotation on any platform. R is applied
 through the fast Walsh-Hadamard butterfly, never as a dense matrix, along
 the axis that quantizer.group_view moves last (or rejects as out of range).
+rotate walks the rows in the blocks of quantizer.row_blocks, and runs each
+block's butterflies in place in the output, so its stages stay in cache.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quantizer import group_view
+from .quantizer import group_view, row_blocks
 
 __all__ = ["RotationSpec", "make_rotation", "rotate", "splitmix64"]
 
@@ -49,13 +51,10 @@ def make_rotation(dim: int, seed: int) -> RotationSpec:
     return RotationSpec(dim, seed, signs)
 
 
-def _fwht(x: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis.
-
-    Works on one C-ordered copy of x; each butterfly stage writes in place.
-    """
-    n = x.shape[-1]
-    out = np.array(x, order="C")
+def _fwht(out: np.ndarray) -> None:
+    """Unnormalized fast Walsh-Hadamard transform of each row of a C-ordered
+    2-D array, in place: each butterfly stage writes its own rows."""
+    n = out.shape[-1]
     h = 1
     while h < n:
         blocks = out.reshape(-1, n // (2 * h), 2, h)
@@ -65,7 +64,6 @@ def _fwht(x: np.ndarray) -> np.ndarray:
         np.subtract(a, b, out=b)
         a[...] = s
         h *= 2
-    return out
 
 
 def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np.ndarray:
@@ -80,8 +78,12 @@ def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np
             f"extent {moved.shape[-1]} along axis {axis} != rotation dim {spec.dim}"
         )
     norm = 1.0 / math.sqrt(spec.dim)
-    if transpose:
-        y = _fwht(moved) * norm * spec.signs
-    else:
-        y = _fwht(moved * spec.signs) * norm
-    return np.ascontiguousarray(np.moveaxis(y, -1, axis))
+    out = np.empty(moved.shape)
+    for rows, block in row_blocks(moved):
+        y = out.reshape(-1, spec.dim)[rows]  # a view: each block rotates where it is stored
+        np.multiply(block, 1.0 if transpose else spec.signs, out=y)
+        _fwht(y)
+        y *= norm
+        if transpose:
+            y *= spec.signs
+    return np.ascontiguousarray(np.moveaxis(out, -1, axis))

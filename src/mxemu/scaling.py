@@ -174,22 +174,24 @@ def binary32_scale(ideal, what: str) -> np.ndarray:
     return np.maximum(out, 2.0**-149, out=out)
 
 
-def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = False):
+def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = False,
+                 tensor_amax=None):
     """Positive and negative shared scales of the groups along xg's last axis.
 
     Each side's group amax goes through the rule body once: |x| max
     when symmetric (both scales are then the same array), max(x, 0) and
     max(-x, 0) when asymmetric; a side with no mass gets the degenerate
     scale. Returns (pos_scale, neg_scale, tensor_scale); tensor_scale is the
-    exact tensor-wise scale of the nvfp4_double mode, whose tensor amax is
-    the largest side amax, and None for every other mode.
+    exact tensor-wise scale of the nvfp4_double mode from tensor_amax (by
+    default the largest side amax of xg), and None for every other mode.
     """
     if asymmetric:
         amaxes = (np.maximum(xg.max(-1), 0.0), np.maximum(-xg.min(-1), 0.0))
     else:
         amaxes = (np.abs(xg).max(-1),)
     if mode.kind == "double":
-        tensor_amax = max(float(a.max()) for a in amaxes)
+        if tensor_amax is None:
+            tensor_amax = max(float(a.max()) for a in amaxes)
         pairs = [nvfp4_scales(tensor_amax, a, fmt) for a in amaxes]
         return pairs[0][1], pairs[-1][1], pairs[0][0]
     scales = [_scale_rule(a, mode, fmt) for a in amaxes]

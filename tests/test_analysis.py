@@ -87,15 +87,18 @@ def test_mean_equivariance(a, b):
 
 
 def _loop_group_stats(x, group_size, axis):
-    """The per-group loop that group_stats vectorises, kept as its reference."""
+    """The per-group loop that group_stats vectorises, kept as its reference:
+    each group's statistics are 1-D means of that group alone."""
     _, xg, gs = group_view(np.asarray(x, float), group_size, axis)
-    flat = xg.reshape(-1, gs)
-    mean = flat.mean(axis=1)
-    centered = flat - mean[:, None]
-    sigma = np.sqrt((centered**2).mean(axis=1))
-    kurt = [((centered[i] / sigma[i]) ** 4).mean() if sigma[i] > 0 else np.nan
-            for i in range(flat.shape[0])]
-    return mean, np.array(kurt)
+    mean, kurt = [], []
+    for group in xg.reshape(-1, gs):
+        group = np.array(group)  # a contiguous copy, so each mean sums as a 1-D mean
+        m = group.mean()
+        centered = group - m
+        sigma = np.sqrt((centered**2).mean())
+        mean.append(m)
+        kurt.append(((centered / sigma) ** 4).mean() if sigma > 0 else np.nan)
+    return np.array(mean), np.array(kurt)
 
 
 @pytest.mark.parametrize("shape,group_size,axis", [
@@ -108,6 +111,16 @@ def test_group_stats_bits_match_per_group_loop(rng, shape, group_size, axis):
     mean, kurt = _loop_group_stats(x, group_size, axis)
     np.testing.assert_array_equal(stats.mean, mean)
     np.testing.assert_array_equal(stats.kurtosis, kurt)
+
+
+@pytest.mark.parametrize("group_size", [16, None])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_group_stats_do_not_depend_on_the_memory_layout(rng, group_size, axis):
+    x = rng.standard_t(3, (64, 96, 32))
+    stats = group_stats(x, group_size, axis)
+    moved = group_stats(np.moveaxis(x, axis, -1).copy(), group_size, -1)
+    np.testing.assert_array_equal(stats.mean, moved.mean)
+    np.testing.assert_array_equal(stats.kurtosis, moved.kurtosis)
 
 
 # ---- stats_summary ----------------------------------------------------------
