@@ -12,7 +12,9 @@ saturates, as quantizer.quantize_with_clamps reports them) and a rounding
 part; the report's mse is defined as (clamp + round) / count so the
 decomposition identity is exact in float64. Both walk the grouped view in
 the blocks of quantizer.row_blocks: error_decomposition quantizes a block at
-a time, sums each group inside it, and folds all group subtotals at the end.
+a time, sums each group inside it left to right, and folds all group
+subtotals at the end. A block of many short groups sums one column at a
+time across its groups (scaling.fold_groups), with a running sum's bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .quantizer import (QuantConfig, dequantize, group_view, quantize_with_clamps, row_blocks,
-                        validate_input)
+                        validate_range)
+from .scaling import fold_groups
 
 __all__ = [
     "GroupStats",
@@ -47,7 +50,7 @@ class GroupStats:
 
 def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     """Per-group mean and kurtosis along the grouping axis of a nonempty, finite x."""
-    _, xg, gs = group_view(validate_input(x), group_size, axis)
+    _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
     mean, kurtosis = np.empty((2, xg.size // gs))
     for groups, flat in row_blocks(xg):
         # C-ordered blocks of groups: each group sums like a 1-D mean, whatever the axis
@@ -147,15 +150,15 @@ class ErrorReport:
 
 def _seq_sum(a: np.ndarray) -> np.ndarray:
     """Left-to-right fold along the last axis (running-sum semantics)."""
-    return np.cumsum(a, axis=-1)[..., -1]
+    return fold_groups(np.add, a)
 
 
 def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:
     """Quantize x under cfg and split squared error into clamp/round parts,
     block by block (see ErrorReport.fold for the fold order)."""
-    arr = validate_input(x)
+    arr, lo, hi = validate_range(x)
     xg = group_view(arr, cfg.group_size, cfg.axis)[1]
-    block_cfg, tensor_amax = replace(cfg, axis=-1), float(max(arr.max(), -arr.min()))
+    block_cfg, tensor_amax = replace(cfg, axis=-1), float(max(hi, -lo))
 
     def errors(block):
         q, clamped = quantize_with_clamps(block, block_cfg, tensor_amax=tensor_amax)

@@ -20,6 +20,13 @@ bits are q's, so rint's ties-to-even q is the even mantissa code. INT
 formats use rint(a); codebook formats search their magnitudes (the table
 index is the code), ties going to the even one.
 
+The kernel works in one float64 buffer (a, then q) and one int32 buffer
+(the exponent shift, then (e - emin) << M), and builds the code in the code
+dtype, so no pass mixes an integer and a float operand. round_to_codes and
+decode take out=, so a caller's block is written in place: decode gathers
+into out with np.take after its range check. It finds NaN codes from the
+NaN that a min of the values propagates.
+
 Grids are built once per format and cached; all operations are pure.
 """
 
@@ -206,35 +213,47 @@ def emax_elem(fmt: ElementFormat) -> int:
     return math.frexp(max_normal(fmt))[1] - 1
 
 
-def round_to_codes(v, fmt: ElementFormat) -> np.ndarray:
+def round_to_codes(v, fmt: ElementFormat, out=None) -> np.ndarray:
     """Round value(s) to the nearest grid point of fmt, as packed element codes.
 
     Magnitudes beyond max_normal (and NaN) take the code of max_normal; ties
     take the even mantissa code; the sign bit is set only on nonzero codes
     of negative values, so -0.0 and values that round to zero give code 0.
+    out, an array of v's shape in the code dtype (uint8, or uint16 past 8
+    bits), receives the codes and is returned.
     """
     mags = _tables(fmt)[1]
     arr = np.asarray(v, dtype=float)
+    dtype = np.dtype(np.uint8 if fmt.total_bits <= 8 else np.uint16)
+    if out is not None and (out.shape != arr.shape or out.dtype != dtype):
+        raise ConfigError(f"{fmt.name} codes need a {dtype} array of shape {arr.shape}")
+    codes = np.empty(arr.shape, dtype) if out is None else out
     a = np.abs(arr, out=np.empty(arr.shape))
     np.fmin(a, mags[-1], out=a)
     M, bias = fmt.mantissa_bits, fmt.bias
     if fmt.kind == "float":
         # s = M - e (frexp's exponent is e + 1), q = rint(a * 2**s) in place,
         # then the code ((e - emin) << M) + q; see the module docstring
-        s = M + 1 - np.frexp(np.fmax(a, 2.0 ** (1 - bias)))[1]
+        s = np.empty(arr.shape, np.int32)  # an array even for 0-d input
+        np.frexp(np.fmax(a, 2.0 ** (1 - bias)), out=(None, s))
+        np.subtract(M + 1, s, out=s)
         np.rint(np.ldexp(a, s, out=a), out=a)
-        a += (M + bias - 1 - s) << M
+        np.copyto(codes, a, casting="unsafe")
+        np.subtract(M + bias - 1, s, out=s)
+        s <<= M
+        codes += s.astype(dtype)
     elif fmt.kind == "int":
-        np.rint(a, out=a)
+        np.copyto(codes, np.rint(a, out=a), casting="unsafe")
     else:
         hi = np.minimum(np.searchsorted(mags, a), len(mags) - 1)
         lo = np.maximum(hi - 1, 0)
         d_lo, d_hi = a - mags[lo], mags[hi] - a
         take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
-        a = np.where(take_hi, hi, lo)
-    codes = a.astype(np.uint8 if fmt.total_bits <= 8 else np.uint16)
-    codes |= ((arr < 0) & (codes != 0)).astype(codes.dtype) << (fmt.total_bits - 1)
-    return codes[()]  # a numpy scalar for 0-d input
+        np.copyto(codes, np.where(take_hi, hi, lo), casting="unsafe")
+    neg = np.less(arr, 0)
+    neg &= codes != 0
+    codes |= np.multiply(neg.view(np.uint8), 1 << (fmt.total_bits - 1), dtype=dtype)
+    return codes[()] if out is None else out  # a numpy scalar for 0-d input
 
 
 def round_to_grid(v, fmt: ElementFormat):
@@ -262,13 +281,21 @@ def encode(values, fmt: ElementFormat) -> np.ndarray:
     return codes
 
 
-def decode(codes, fmt: ElementFormat) -> np.ndarray:
-    """Inverse of encode: packed element codes back to float64 grid values."""
+def decode(codes, fmt: ElementFormat, out=None) -> np.ndarray:
+    """Inverse of encode: packed element codes back to float64 grid values.
+
+    out, a float64 array of the codes' shape, receives the values and is
+    returned.
+    """
     lut = _tables(fmt)[2]
     arr = np.asarray(codes)
     if arr.dtype.kind not in "ui" or arr.size and (arr.min() < 0 or arr.max() >= len(lut)):
         raise DataError(f"{fmt.name} codes must be integers that lie in [0, {len(lut)})")
-    vals = lut[arr]
-    if np.isnan(lut).any() and np.isnan(vals).any():
+    if out is not None and (out.shape != arr.shape or out.dtype != np.float64):
+        raise ConfigError(f"{fmt.name} values need a float64 array of shape {arr.shape}")
+    vals = np.empty(arr.shape) if out is None else out
+    # every code is in range, so "wrap" never wraps ("raise" would buffer all of vals)
+    np.take(lut, arr, mode="wrap", out=vals)
+    if arr.size and np.isnan(lut).any() and np.isnan(vals.min()):  # min propagates NaN
         raise DataError(f"invalid {fmt.name} code in input")
-    return vals
+    return vals[()] if out is None else out  # a numpy scalar for 0-d input

@@ -11,14 +11,15 @@ mode adds an exact tensor-wise scale under FP8-encoded group scales.
 This module alone decides which scale each element uses: an asymmetric
 element's side is whether its value is negative, x < 0 when quantizing and
 the decoded grid value < 0 when dequantizing (every scale is positive, so a
--0.0 code gives -0.0 on either side). One flat gather over the (..., G, 2)
-scale pairs picks the negative scale for side 1 and the positive one for
-side 0; symmetric groups broadcast their one scale. Where a group scale
-times the nvfp4_double tensor scale underflows to 0.0, quantize divides by
-the tensor scale and then by the group scale. quantize_with_clamps also
-reports which elements clamp, from the values quantize has already divided:
-|x/s| > max_normal for float formats, and a zero-point code outside
-[0, 2**bits - 1] before the clip.
+-0.0 code gives -0.0 on either side). One flat gather over a block's
+(G, 2) scale pairs, np.take with int32 indices, picks the negative scale
+for side 1 and the positive one for side 0, and quantize divides x into
+the gathered buffer; symmetric groups broadcast their one scale. Where a
+group scale times the nvfp4_double tensor scale underflows to 0.0,
+quantize divides by the tensor scale and then by the group scale.
+quantize_with_clamps also reports which elements clamp, from the values
+quantize has already divided: |x/s| > max_normal for float formats, and a
+zero-point code outside [0, 2**bits - 1] before the clip.
 
 Zero-point configs ignore the scale mode. Their scale is (max - min) /
 (2**bits - 1) rounded to binary32, which makes every (code - zp) * scale
@@ -32,9 +33,11 @@ dequantized values, regardless of group count or processing order.
 
 Groups are independent, so quantize and dequantize walk them in blocks of
 at most BLOCK_ELEMS elements (row_blocks over the grouped view) and write
-into preallocated outputs, so no temporary is the size of the tensor. The
-one coupling across blocks, the nvfp4_double tensor amax, comes from a first
-pass over the whole tensor. BLOCK_ELEMS is a constant: no size changes a bit.
+into preallocated outputs, so no temporary is the size of the tensor.
+dequantize stores each block straight into an output in x's layout
+(row_blocks_into). The one coupling across blocks, the nvfp4_double tensor
+amax, comes from the min and max that validate_range reads over the whole
+tensor. BLOCK_ELEMS is a constant: no size changes a bit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ __all__ = [
     "parse_group_size",
     "group_view",
     "row_blocks",
-    "validate_input",
+    "row_blocks_into",
+    "validate_range",
     "quantize",
     "quantize_with_clamps",
     "dequantize",
@@ -129,14 +133,16 @@ class QuantizedTensor:
         return int(np.prod(self.scales.shape[:-1], dtype=np.int64))
 
 
-def validate_input(x) -> np.ndarray:
-    """x as a float64 array; DataError if it is empty or holds a non-finite value."""
+def validate_range(x):
+    """x as a float64 array, with its least and greatest value as numpy floats:
+    (array, min, max). DataError if x is empty or holds a non-finite value."""
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DataError("empty input tensor")
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # both propagate NaN
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # both propagate NaN
         raise DataError(f"non-finite input value at flat index {np.argmin(np.isfinite(arr))}")
-    return arr
+    return arr, lo, hi
 
 
 def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
@@ -171,13 +177,43 @@ def row_blocks(a: np.ndarray):
     already. A block holds at most BLOCK_ELEMS elements, or else one row."""
     n, lead = a.shape[-1], a.shape[:-1]
     count, step = math.prod(lead), max(1, BLOCK_ELEMS // n)
-    # a view where the leading axes merge; else each block is gathered
-    flat = a.reshape(count, n) if len(lead) < 2 or a.flags.c_contiguous else None
+    flat = _row_view(a)
     for start in range(0, count, step):
         rows = slice(start, min(start + step, count))
-        block = (flat[rows] if flat is not None
-                 else a[np.unravel_index(np.arange(start, rows.stop), lead)])
+        block = flat[rows] if flat is not None else a[_row_index(lead, rows)]
         yield rows, np.ascontiguousarray(block)
+
+
+def row_blocks_into(a: np.ndarray, out: np.ndarray):
+    """Yield (rows, block, dest): row_blocks(a), and for each block a
+    C-ordered array dest for the same rows of out, an array of a's shape in
+    any layout. dest is those rows of out where they are one C-ordered slice;
+    otherwise it is one buffer for all blocks, whose values are stored into
+    those rows before the next block."""
+    flat, buf = _row_view(out), None
+    for rows, block in row_blocks(a):
+        view = flat[rows] if flat is not None else None
+        if view is not None and view.flags.c_contiguous:
+            yield rows, block, view
+            continue
+        if buf is None:
+            buf = np.empty(block.shape, out.dtype)  # the first block is the largest
+        dest = buf[:len(block)]
+        yield rows, block, dest
+        if view is not None:
+            view[...] = dest
+        else:
+            out[_row_index(out.shape[:-1], rows)] = dest
+
+
+def _row_view(a: np.ndarray):
+    """a as (R, n) rows, a view; None where its leading axes may not merge."""
+    return a.reshape(-1, a.shape[-1]) if a.ndim <= 2 or a.flags.c_contiguous else None
+
+
+def _row_index(lead: tuple, rows: slice):
+    """The index into an array with leading shape lead of its rows in rows."""
+    return np.unravel_index(np.arange(rows.start, rows.stop), lead)
 
 
 def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
@@ -199,10 +235,10 @@ def quantize_with_clamps(x, cfg: QuantConfig, *, tensor_amax=None):
 
 def _quantize(x, cfg: QuantConfig, tensor_amax, with_clamps: bool):
     """The QuantizedTensor of x and, if asked, its clamp mask in the moved layout."""
-    arr = validate_input(x)
+    arr, lo, hi = validate_range(x)
     moved, xg, gs = group_view(arr, cfg.group_size, cfg.axis)
     if tensor_amax is None and cfg.scale_mode.kind == "double":
-        tensor_amax = float(max(arr.max(), -arr.min()))  # the first pass: one tensor scale
+        tensor_amax = float(max(hi, -lo))  # the one tensor scale comes from all blocks
     codes = np.empty(moved.shape, np.uint8 if cfg.fmt.total_bits <= 8 else np.uint16)
     scales = np.empty((*xg.shape[:-1], 2))
     clamped = np.empty(moved.shape, bool) if with_clamps else None
@@ -211,42 +247,49 @@ def _quantize(x, cfg: QuantConfig, tensor_amax, with_clamps: bool):
         if cfg.uses_zero_point:
             code_groups[groups], scale_pairs[groups], pre = _quantize_zero_point(block, cfg)
         else:
-            code_groups[groups], scale_pairs[groups], tensor_scale, pre = _quantize_scaled(
-                block, cfg, tensor_amax)
+            tensor_scale, pre = _quantize_scaled(block, cfg, tensor_amax, code_groups[groups],
+                                                 scale_pairs[groups])
         if with_clamps:
-            clamped.reshape(-1, gs)[groups] = (
-                (pre < 0) | (pre > 2**cfg.fmt.total_bits - 1) if cfg.uses_zero_point
-                else np.abs(pre, out=pre) > formats.max_normal(cfg.fmt))
+            mask = clamped.reshape(-1, gs)[groups]
+            if cfg.uses_zero_point:
+                np.logical_or(pre < 0, pre > 2**cfg.fmt.total_bits - 1, out=mask)
+            else:
+                np.greater(np.abs(pre, out=pre), formats.max_normal(cfg.fmt), out=mask)
     return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale), clamped
 
 
-def _quantize_scaled(xg: np.ndarray, cfg: QuantConfig, tensor_amax):
-    """Codes, scale pairs, tensor scale and x / scale of the groups of xg."""
+def _quantize_scaled(xg: np.ndarray, cfg: QuantConfig, tensor_amax, codes: np.ndarray,
+                     scales: np.ndarray):
+    """Write the codes and (G, 2) scale pairs of the (G, gs) groups xg into
+    codes and scales; return the tensor scale and x / scale."""
     pos_s, neg_s, tensor_scale = scaling.group_scales(
         xg, cfg.scale_mode, cfg.fmt, cfg.asymmetric, tensor_amax=tensor_amax)
-    scales = np.stack([pos_s, neg_s], axis=-1)
+    scales[:, 0], scales[:, 1] = pos_s, neg_s
     applied = scales if tensor_scale is None else scales * tensor_scale
-    sel = _side_scales(applied, xg < 0) if cfg.asymmetric else applied[..., :1]
-    if applied.all():
-        pre = xg / sel
+    sel = _side_scales(applied, xg < 0) if cfg.asymmetric else applied[:, :1]
+    if applied.all():  # an asymmetric sel is a fresh buffer: divide into it
+        pre = np.divide(xg, sel, out=sel if cfg.asymmetric else None)
     else:  # an applied scale underflowed to 0.0: divide by its two factors in turn
         pre = xg / np.where(sel > 0, sel, 1.0)
-        group = _side_scales(scales, xg < 0) if cfg.asymmetric else scales[..., :1]
+        group = _side_scales(scales, xg < 0) if cfg.asymmetric else scales[:, :1]
         np.divide(xg / tensor_scale, group, out=pre, where=sel == 0)
-    return formats.round_to_codes(pre, cfg.fmt), scales, tensor_scale, pre
+    formats.round_to_codes(pre, cfg.fmt, out=codes)
+    return tensor_scale, pre
 
 
 def _side_scales(scales: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """Each element's scale from the (..., G, 2) pairs, by a flat gather:
-    side 0 takes the group's positive scale and side 1 its negative one."""
-    first = np.arange(0, scales.size, 2).reshape(*scales.shape[:-1], 1)
-    return scales.reshape(-1)[first + side]
+    """Each element's scale from the (G, 2) pairs of a block, by a flat
+    gather: side 0 takes the group's positive scale and side 1 its negative
+    one. The int32 indices are in range, so "wrap" never wraps."""
+    first = np.arange(0, scales.size, 2, dtype=np.int32).reshape(-1, 1)
+    return np.take(scales.reshape(-1), first + side, mode="wrap")
 
 
 def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
     """Codes, (scale, zero point) pairs and the codes before their clip, for
     an asymmetric integer format; zero_point = round(-min / scale)."""
     q_max = 2**cfg.fmt.total_bits - 1
+    # numpy's reductions, not scaling.fold_groups: a zero min's sign reaches zp
     lo = xg.min(-1)
     hi = xg.max(-1)
     with np.errstate(over="ignore"):  # a span past float64 fails as a binary32 overflow
@@ -268,18 +311,18 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the real tensor: (-1)^s * |grid value| * scale(side)."""
     cfg = q.config
     _, cg, gs = group_view(q.codes, cfg.group_size)
-    out = np.empty(q.codes.shape)
-    out_groups, scale_pairs = out.reshape(-1, gs), q.scales.reshape(-1, 2)
-    for groups, block in row_blocks(cg):
-        s, vals = scale_pairs[groups], out_groups[groups]  # views: each block writes in place
+    out = np.empty(q.shape)  # x's layout: each block is stored where it belongs
+    scale_pairs = q.scales.reshape(-1, 2)
+    for groups, block, vals in row_blocks_into(cg, group_view(out, gs, cfg.axis)[1]):
+        s = scale_pairs[groups]
         if cfg.uses_zero_point:
             np.multiply(block - s[:, 1:], s[:, :1], out=vals)
         else:
-            grid = formats.decode(block, cfg.fmt)
-            np.multiply(grid, _side_scales(s, grid < 0) if cfg.asymmetric else s[:, :1], out=vals)
+            formats.decode(block, cfg.fmt, out=vals)
+            vals *= _side_scales(s, vals < 0) if cfg.asymmetric else s[:, :1]
             if q.tensor_scale is not None:
                 vals *= q.tensor_scale
-    return np.ascontiguousarray(np.moveaxis(out, -1, cfg.axis))
+    return out
 
 
 def quantize_dequantize(x, cfg: QuantConfig) -> np.ndarray:

@@ -5,6 +5,8 @@ There is one scale path. group_scales takes each side's group amax, the
 an asymmetric one, and runs one rule body on each side; so symmetric,
 asymmetric and two-level (nvfp4_double) scaling are the same computation
 over one or two sides, and every public scale routine is a call into it.
+The side maxima come from fold_groups, which folds a block of many short
+groups one column at a time.
 
 The rule validates amax (finite, >= 0), applies the mode's encoding and
 assigns the degenerate scale where amax == 0, in float64 for scalars or
@@ -42,6 +44,7 @@ __all__ = [
     "fp32_scale",
     "binary32_scale",
     "group_scales",
+    "fold_groups",
     "nvfp4_scales",
     "scale_words",
     "NVFP4_GROUP_SIZES",
@@ -186,9 +189,10 @@ def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = Fal
     default the largest side amax of xg), and None for every other mode.
     """
     if asymmetric:
-        amaxes = (np.maximum(xg.max(-1), 0.0), np.maximum(-xg.min(-1), 0.0))
+        amaxes = (np.maximum(fold_groups(np.maximum, xg), 0.0),
+                  np.maximum(-fold_groups(np.minimum, xg), 0.0))
     else:
-        amaxes = (np.abs(xg).max(-1),)
+        amaxes = (fold_groups(np.maximum, np.abs(xg)),)
     if mode.kind == "double":
         if tensor_amax is None:
             tensor_amax = max(float(a.max()) for a in amaxes)
@@ -196,6 +200,23 @@ def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = Fal
         return pairs[0][1], pairs[-1][1], pairs[0][0]
     scales = [_scale_rule(a, mode, fmt) for a in amaxes]
     return scales[0], scales[-1], None
+
+
+def fold_groups(ufunc, xg: np.ndarray) -> np.ndarray:
+    """ufunc folded left to right along the last axis of xg, one group per
+    row: ufunc.reduce for np.maximum and np.minimum, the last running sum
+    for np.add. A 2-D block with more groups than a group has elements folds
+    one column at a time across all groups, one ufunc call per column; any
+    other block folds row by row. Both give the same bits, except that the
+    sign of a zero maximum or minimum may differ from numpy's reduction."""
+    if xg.ndim == 2 and xg.shape[0] > xg.shape[1]:
+        out = xg[:, 0].copy()
+        for column in xg.T[1:]:
+            ufunc(out, column, out=out)
+        return out
+    if ufunc is np.add:  # numpy's add.reduce sums pairwise, not left to right
+        return np.cumsum(xg, axis=-1)[..., -1]
+    return ufunc.reduce(xg, axis=-1)
 
 
 def nvfp4_scales(tensor_amax: float, group_amaxes, fmt: ElementFormat | None = None):

@@ -322,3 +322,42 @@ def test_kernel_matches_the_brute_force_oracle(fmt, data):
     np.testing.assert_array_equal(formats.round_to_codes(v, fmt), encode(got, fmt))
     back = decode(encode(got, fmt), fmt)
     np.testing.assert_array_equal(back.view(np.uint64), got.view(np.uint64))
+
+
+# ---- writing into the caller's array (out=) -------------------------------
+
+@pytest.mark.parametrize("fmt", CONTRACT_FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("shape", [(), (3, 17)], ids=["0-d", "2-d"])
+def test_out_receives_the_same_codes_and_values(fmt, shape):
+    g = grid(fmt)
+    v = np.resize(np.concatenate([g, (g[1:] + g[:-1]) / 2, [-0.0, 1e-310, -7e300]]),
+                  shape)
+    want = formats.round_to_codes(v, fmt)
+    buf = np.full(shape, 0xAB, want.dtype)
+    assert formats.round_to_codes(v, fmt, out=buf) is buf
+    assert buf.dtype == want.dtype == (np.uint8 if fmt.total_bits <= 8 else np.uint16)
+    np.testing.assert_array_equal(buf, want)
+    vals = np.full(shape, np.nan)
+    assert decode(buf, fmt, out=vals) is vals
+    want_vals = np.asarray(decode(want, fmt))
+    np.testing.assert_array_equal(vals.view(np.uint64), want_vals.view(np.uint64))
+
+
+def test_out_of_another_shape_or_dtype_is_rejected():
+    v = np.ones(4)
+    for buf in (np.empty(4, np.uint16), np.empty(5, np.uint8)):
+        with pytest.raises(ConfigError, match="fp4_e2m1 codes need a uint8 array of shape"):
+            formats.round_to_codes(v, FP4, out=buf)
+    codes = formats.round_to_codes(v, FP4)
+    for buf in (np.empty(4, np.float32), np.empty((4, 1))):
+        with pytest.raises(ConfigError, match="fp4_e2m1 values need a float64 array of shape"):
+            decode(codes, FP4, out=buf)
+
+
+def test_decode_into_out_rejects_what_decode_rejects():
+    nan_code = np.array([1, 0b01111111, 3], np.uint8)  # one NaN among finite values
+    for codes, fmt, match in ((nan_code, E4M3, "invalid fp8_e4m3 code"),
+                              (np.array([0x88], np.uint8), FP4, "codes must be integers"),
+                              (np.array([-1]), FP4, "codes must be integers")):
+        with pytest.raises(DataError, match=match):
+            decode(codes, fmt, out=np.empty(codes.shape))

@@ -299,6 +299,14 @@ def test_zero_point_beats_symmetric_on_shifted_data(rng):
     assert err_zp < err_sym
 
 
+@pytest.mark.parametrize("group, zp", [([0.0, -0.0, 1.0], 0.0), ([-0.0, 0.0, 1.0], -0.0)])
+def test_zero_point_of_a_zero_minimum_keeps_its_sign(group, zp):
+    # numpy's min of the group gives the zero minimum's sign, and -min / scale
+    # carries it into the stored zero point
+    q = quantize(np.tile(group, (300, 1)), config("int4_asym", "pot_floor", "row"))
+    assert q.scales[..., 1].tobytes() == np.full((300, 1), zp).tobytes()
+
+
 def test_zero_point_constant_group():
     x = np.full(16, 3.25)
     y = quantize_dequantize(x, config("int4_asym", "pot_floor", "row"))

@@ -21,6 +21,7 @@ from mxemu.scaling import (
     SCALE_MODES,
     ScaleMode,
     degenerate_scale,
+    fold_groups,
     fp32_scale,
     fp_scale,
     get_scale_mode,
@@ -293,3 +294,37 @@ def test_scale_words_rejects_an_off_grid_scale(mode):
     assert sorted(_OFF_GRID) == sorted(SCALE_MODES)
     with pytest.raises(DataError):
         scale_words(np.array([1.0, _OFF_GRID[mode]]), SCALE_MODES[mode])
+
+
+# ---- group folds ------------------------------------------------------------
+
+def _fold_input(gs):
+    """(G, gs) groups with +/-0.0 mixes, subnormals, and one-sided and
+    all-zero groups; G > gs (a column fold) except for whole rows."""
+    n_groups, size = (8, 512) if gs == "row" else (max(64, 4 * gs), gs)
+    x = np.random.default_rng(3).normal(size=(n_groups, size))
+    x[0], x[1] = 0.0, -0.0
+    x[2], x[3, ::2] = np.where(np.arange(size) % 3, 0.0, -0.0), -0.0
+    x[4], x[5] = np.abs(x[4]), -np.abs(x[5])
+    x[6] *= 1e-310
+    x[7, ::2] = 5e-324
+    return x
+
+
+@pytest.mark.parametrize("gs", [1, 2, 16, 32, 64, "row"])
+def test_fold_groups_gives_numpys_folds(gs):
+    x = _fold_input(gs)
+    assert fold_groups(np.add, x).tobytes() == np.cumsum(x, axis=-1)[:, -1].tobytes()
+    for ufunc, want in ((np.maximum, x.max(-1)), (np.minimum, x.min(-1))):
+        got = fold_groups(ufunc, x)
+        np.testing.assert_array_equal(got, want)  # the sign of a zero may differ
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+    # the float path takes |x| or clamps at +0.0, so no zero sign reaches a scale
+    for mode in ("pot_floor", "fp8e5m2"):
+        rule = {"pot_floor": lambda a: pot_floor_scale(a, FP4),
+                "fp8e5m2": lambda a: fp_scale(a, FP4, E5M2)}[mode]
+        pos, neg, _ = group_scales(x, get_scale_mode(mode), FP4, asymmetric=True)
+        assert pos.tobytes() == rule(np.maximum(x.max(-1), 0.0)).tobytes()
+        assert neg.tobytes() == rule(np.maximum(-x.min(-1), 0.0)).tobytes()
+        pos, _, _ = group_scales(x, get_scale_mode(mode), FP4)
+        assert pos.tobytes() == rule(np.abs(x).max(-1)).tobytes()
