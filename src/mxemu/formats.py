@@ -54,6 +54,7 @@ __all__ = [
     "round_to_codes",
     "round_to_grid",
     "encode",
+    "valid_codes",
     "decode",
 ]
 
@@ -279,6 +280,12 @@ def encode(values, fmt: ElementFormat) -> np.ndarray:
     if not np.array_equal(_tables(fmt)[2][codes], arr):
         raise DataError("encode() requires on-grid values")
     return codes
+
+
+def valid_codes(fmt: ElementFormat) -> np.ndarray:
+    """A bool for each packed code of fmt, 0 to 2**total_bits - 1: whether it
+    names a value. decode rejects the others."""
+    return ~np.isnan(_tables(fmt)[2])
 
 
 def decode(codes, fmt: ElementFormat, out=None) -> np.ndarray:

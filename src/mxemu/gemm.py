@@ -125,9 +125,9 @@ def _set_zero_signs(part: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> None:
 
 
 def _binary32(sa: np.ndarray, sb: np.ndarray):
-    """float32 copies of both slices if they hold their values exactly."""
+    """float32 copies of both slices, sb's C-ordered, if they hold their values exactly."""
     with np.errstate(over="ignore"):  # a value past binary32 fails the test
-        a32, b32 = sa.astype(np.float32), sb.astype(np.float32)
+        a32, b32 = sa.astype(np.float32), sb.astype(np.float32, order="C")
     if (a32 == sa).all() and (b32 == sb).all():
         return a32, b32
     return sa, sb
@@ -147,6 +147,7 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec) -> np.ndarra
         else:
             if dtype == np.float32:
                 sa, sb = _binary32(sa, sb)
+            sb = np.ascontiguousarray(sb)  # the loop reads rows of sb, whatever db's layout
             src = np.multiply(sa[:, 0, None], sb[0], out=part)
             for t in range(1, gs):
                 part += np.multiply(sa[:, t, None], sb[t], out=term)

@@ -234,7 +234,8 @@ def reference_quantize(
     cluster pool (see asym_grid_codebook), which guarantees the final MSE
     does not exceed AMXFP4's row-wise MSE on the pool.
     The MSE is in-sample (see the module docstring).
-    Returns (quantized tensor, ErrorReport).
+    Returns (quantized tensor, ErrorReport); the tensor is the np.moveaxis
+    view of the grouped layout it is computed in.
     """
     if init not in ("quantile", "format_grid"):
         raise ConfigError(f"unknown init {init!r}")
@@ -252,4 +253,4 @@ def reference_quantize(
     sq = (flat_groups - out_groups) ** 2
     report = ErrorReport.fold([(sq, np.zeros(sq.shape, dtype=bool))], sq.size)
     out = out_groups.reshape(moved.shape)
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis)), report
+    return np.moveaxis(out, -1, axis), report

@@ -33,11 +33,12 @@ dequantized values, regardless of group count or processing order.
 
 Groups are independent, so quantize and dequantize walk them in blocks of
 at most BLOCK_ELEMS elements (row_blocks over the grouped view) and write
-into preallocated outputs, so no temporary is the size of the tensor.
-dequantize stores each block straight into an output in x's layout
-(row_blocks_into). The one coupling across blocks, the nvfp4_double tensor
-amax, comes from the min and max that validate_range reads over the whole
-tensor. BLOCK_ELEMS is a constant: no size changes a bit.
+each into the same rows of a preallocated output in the grouped layout, so
+no temporary is the size of the tensor. A result of x's shape is returned as
+that output's np.moveaxis view, a transposed view unless the axis is last.
+The one coupling across blocks, the nvfp4_double tensor amax, comes from the
+min and max that validate_range reads over the whole tensor. BLOCK_ELEMS is
+a constant: no size changes a bit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "parse_group_size",
     "group_view",
     "row_blocks",
-    "row_blocks_into",
     "validate_range",
     "quantize",
     "quantize_with_clamps",
@@ -154,7 +154,7 @@ def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
     """
     try:
         moved = np.moveaxis(arr, axis, -1)
-    except np.exceptions.AxisError:
+    except (np.exceptions.AxisError, OverflowError):  # OverflowError: past a C int
         raise ConfigError(f"axis {axis} out of range for shape {arr.shape}") from None
     n = moved.shape[-1]
     gs = n if group_size is None else group_size
@@ -174,46 +174,15 @@ def row_blocks(a: np.ndarray):
     """Yield (rows, block) over a viewed as (R, n) rows, such as the groups of
     a grouped view: rows slices the row indices in row-major order, and block
     holds those rows as a C-ordered (rows, n) array, a view where they are one
-    already. A block holds at most BLOCK_ELEMS elements, or else one row."""
+    already. A block holds at most BLOCK_ELEMS elements, or else one row; its
+    result goes into out.reshape(-1, n)[rows] of a C-ordered output."""
     n, lead = a.shape[-1], a.shape[:-1]
     count, step = math.prod(lead), max(1, BLOCK_ELEMS // n)
-    flat = _row_view(a)
+    flat = a.reshape(-1, n) if a.ndim <= 2 or a.flags.c_contiguous else None
     for start in range(0, count, step):
         rows = slice(start, min(start + step, count))
-        block = flat[rows] if flat is not None else a[_row_index(lead, rows)]
+        block = a[np.unravel_index(np.r_[rows], lead)] if flat is None else flat[rows]
         yield rows, np.ascontiguousarray(block)
-
-
-def row_blocks_into(a: np.ndarray, out: np.ndarray):
-    """Yield (rows, block, dest): row_blocks(a), and for each block a
-    C-ordered array dest for the same rows of out, an array of a's shape in
-    any layout. dest is those rows of out where they are one C-ordered slice;
-    otherwise it is one buffer for all blocks, whose values are stored into
-    those rows before the next block."""
-    flat, buf = _row_view(out), None
-    for rows, block in row_blocks(a):
-        view = flat[rows] if flat is not None else None
-        if view is not None and view.flags.c_contiguous:
-            yield rows, block, view
-            continue
-        if buf is None:
-            buf = np.empty(block.shape, out.dtype)  # the first block is the largest
-        dest = buf[:len(block)]
-        yield rows, block, dest
-        if view is not None:
-            view[...] = dest
-        else:
-            out[_row_index(out.shape[:-1], rows)] = dest
-
-
-def _row_view(a: np.ndarray):
-    """a as (R, n) rows, a view; None where its leading axes may not merge."""
-    return a.reshape(-1, a.shape[-1]) if a.ndim <= 2 or a.flags.c_contiguous else None
-
-
-def _row_index(lead: tuple, rows: slice):
-    """The index into an array with leading shape lead of its rows in rows."""
-    return np.unravel_index(np.arange(rows.start, rows.stop), lead)
 
 
 def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
@@ -222,9 +191,10 @@ def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
 
 
 def quantize_with_clamps(x, cfg: QuantConfig, *, tensor_amax=None):
-    """quantize(x, cfg) and a boolean mask, in x's layout, of the elements
-    that clamp: their scaled magnitude exceeds the format's max normal, or
-    their zero-point code falls outside [0, 2**bits - 1] before the clip.
+    """quantize(x, cfg) and a boolean mask of x's shape (an np.moveaxis view)
+    of the elements that clamp: their scaled magnitude exceeds the format's
+    max normal, or their zero-point code falls outside [0, 2**bits - 1]
+    before the clip.
 
     tensor_amax, the max |x| of a tensor that x is a block of, replaces x's
     own as the nvfp4_double tensor amax: x then quantizes as inside it.
@@ -308,13 +278,14 @@ def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Reconstruct the real tensor: (-1)^s * |grid value| * scale(side)."""
+    """Reconstruct the real tensor, (-1)^s * |grid value| * scale(side), as
+    the np.moveaxis view of the grouped layout it is computed in."""
     cfg = q.config
     _, cg, gs = group_view(q.codes, cfg.group_size)
-    out = np.empty(q.shape)  # x's layout: each block is stored where it belongs
-    scale_pairs = q.scales.reshape(-1, 2)
-    for groups, block, vals in row_blocks_into(cg, group_view(out, gs, cfg.axis)[1]):
-        s = scale_pairs[groups]
+    out = np.empty(q.codes.shape)
+    out_groups, scale_pairs = out.reshape(-1, gs), q.scales.reshape(-1, 2)
+    for groups, block in row_blocks(cg):
+        s, vals = scale_pairs[groups], out_groups[groups]
         if cfg.uses_zero_point:
             np.multiply(block - s[:, 1:], s[:, :1], out=vals)
         else:
@@ -322,7 +293,7 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
             vals *= _side_scales(s, vals < 0) if cfg.asymmetric else s[:, :1]
             if q.tensor_scale is not None:
                 vals *= q.tensor_scale
-    return out
+    return np.moveaxis(out, -1, cfg.axis)
 
 
 def quantize_dequantize(x, cfg: QuantConfig) -> np.ndarray:

@@ -5,9 +5,9 @@ matrix and D a +/-1 diagonal derived from a splitmix64 stream, so the same
 (dim, seed) pair reproduces the same rotation on any platform. R is applied
 through the fast Walsh-Hadamard butterfly, never as a dense matrix, along
 the axis that quantizer.group_view moves last (or rejects as out of range).
-rotate walks the rows in the blocks of quantizer.row_blocks_into and runs
-each block's butterflies in place, in the output where its rows are one
-C-ordered slice and else in a block buffer, so its stages stay in cache.
+rotate walks the moved rows in the blocks of quantizer.row_blocks, runs each
+block's butterflies in place in its rows of an output with the axis last, so
+its stages stay in cache, and returns that output's np.moveaxis view.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quantizer import group_view, row_blocks_into
+from .quantizer import group_view, row_blocks
 
 __all__ = ["RotationSpec", "make_rotation", "rotate", "splitmix64"]
 
@@ -71,20 +71,21 @@ def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np
     """Apply R (or its transpose/inverse) along the given axis.
 
     Forward: y = H (D x) / sqrt(d). Transpose: y = D (H x) / sqrt(d); since
-    R is orthogonal the transpose inverts the forward rotation.
+    R is orthogonal the transpose inverts the forward rotation. The result
+    is computed with the axis last and returned as its np.moveaxis view.
     """
-    arr = np.asarray(x, dtype=float)
-    moved = group_view(arr, None, axis)[0]
+    moved = group_view(np.asarray(x, dtype=float), None, axis)[0]
     if moved.shape[-1] != spec.dim:
         raise ConfigError(
             f"extent {moved.shape[-1]} along axis {axis} != rotation dim {spec.dim}"
         )
     norm = 1.0 / math.sqrt(spec.dim)
-    out = np.empty(arr.shape)
-    for _, block, y in row_blocks_into(moved, np.moveaxis(out, axis, -1)):
+    out = np.empty(moved.shape)
+    for rows, block in row_blocks(moved):
+        y = out.reshape(-1, spec.dim)[rows]
         np.multiply(block, 1.0 if transpose else spec.signs, out=y)
         _fwht(y)
         y *= norm
         if transpose:
             y *= spec.signs
-    return out
+    return np.moveaxis(out, -1, axis)

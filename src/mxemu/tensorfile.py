@@ -16,10 +16,14 @@ zero-point config stores its scale's binary32 word and its zero point as a
 signed int32, whatever its scale mode. The tensor-scale flag is 1 exactly
 when the mode is nvfp4_double and the config is not zero-point (a
 zero-point config has no tensor scale), else 0 with the field +0.0. The
-reader raises TensorFileError when the header breaks that rule, when an
-audit word differs from the one it recomputes, when a scale is not finite,
-positive and on its mode's grid, when a zero point is not an integer, or
-when bytes follow the scale records.
+reader raises TensorFileError when the header breaks that rule, holds an
+asymmetric flag other than 0 or 1 or names a format with "_asym" or wider
+than a byte, when a code names no value of the format
+(formats.valid_codes), when an audit word differs from the one it
+recomputes, when a scale is not finite, positive and on its mode's grid,
+when a symmetric group's two scales differ, when a zero point is not an
+integer, or when bytes follow the scale records. So every file it reads is
+one that write_quantized writes back byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, TensorFileError
+from .formats import valid_codes
 from .quantizer import QuantizedTensor, config, group_view
 from .scaling import SCALE_MODES, scale_words
 
@@ -145,6 +150,8 @@ def _check_scales(path, rec, cfg) -> None:
     integer."""
     if cfg.uses_zero_point and not (rec["neg"] == np.round(rec["neg"])).all():
         raise TensorFileError(f"{path}: a stored zero point is not an integer")
+    if not cfg.asymmetric and (rec["neg"] != rec["pos"]).any():
+        raise TensorFileError(f"{path}: a symmetric group's two stored scales differ")
     try:
         pbits, nbits = _audit_words(rec, cfg)
     except DataError as exc:
@@ -170,13 +177,23 @@ def read_quantized(path) -> QuantizedTensor:
         cfg = config(fmt_name, names[1].decode(), None if gs == -1 else gs, axis)
     except (UnicodeDecodeError, ConfigError) as exc:
         raise TensorFileError(f"{path}: bad config names in header: {exc}") from None
+    if asym > 1:
+        raise TensorFileError(f"{path}: asymmetric flag {asym} is not 0 or 1")
+    if cfg.fmt.name != names[0].decode():  # the flag, not the name, says "_asym"
+        raise TensorFileError(f"{path}: {names[0].decode()!r} is not an element format name")
     if has_ts != (cfg.scale_mode.kind == "double" and not cfg.uses_zero_point):
         raise TensorFileError(f"{path}: tensor-scale flag {has_ts} does not fit {cfg.label()}")
+    if cfg.fmt.total_bits > 8:
+        raise TensorFileError(f"{path}: MXQ1 stores one byte per code; {cfg.fmt.name} has "
+                              f"{cfg.fmt.total_bits}-bit codes")
     try:
         moved, xg, _ = group_view(np.broadcast_to(np.uint8(0), shape), cfg.group_size, axis)
     except (ConfigError, ValueError) as exc:  # ValueError: dims too large to index
         raise TensorFileError(f"{path}: header does not fit shape {shape}: {exc}") from None
     codes = np.frombuffer(_read_exact(fh, moved.size, "codes"), np.uint8).reshape(moved.shape)
+    named = valid_codes(cfg.fmt)  # a gather only where a code in range names no value
+    if codes.max() >= named.size or not named.all() and not named[codes].all():
+        raise TensorFileError(f"{path}: a stored code names no {cfg.fmt.name} value")
     (n_groups,) = struct.unpack("<Q", _read_exact(fh, 8, "group count"))
     groups = xg.shape[:-1]
     if n_groups != math.prod(groups):

@@ -1,7 +1,10 @@
 """The block loop of quantizer.row_blocks: any block size gives the same bits,
-the same errors, and memory that does not grow with the row count."""
+the same errors, and memory that does not grow with the row count; and the
+layout of what is computed block by block: a result of x's shape is the
+np.moveaxis view of the grouped layout it is computed in."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from mxemu import config, dequantize, quantize
 from mxemu import quantizer
 from mxemu.analysis import error_decomposition, group_stats
 from mxemu.errors import DataError
+from mxemu.lloydmax import LloydConfig, reference_quantize
 from mxemu.quantizer import quantize_with_clamps, row_blocks
 from mxemu.rotation import make_rotation, rotate
 
@@ -151,3 +155,23 @@ def test_memory_stays_flat_in_the_row_count():
             assert grown < 2**20, (name, axis, grown)
             if name in ("dequantize", "rotate"):  # blocks are stored in x's layout
                 assert peak < 2 * 2**20, (name, axis, peak)
+
+
+@pytest.mark.parametrize("shape, axis", [((64, 6), 0), ((3, 64, 2), 1)])
+def test_results_are_moveaxis_views_of_the_grouped_layout(shape, axis):
+    x = np.random.default_rng(8).normal(0.2, 1.0, shape)
+    grouped_x = np.ascontiguousarray(np.moveaxis(x, axis, -1))
+    spec, lloyd = make_rotation(64, 4), LloydConfig(n_clusters=2, n_iters=3)
+    amx = config("fp4_e2m1_asym", "fp8e5m2", 32)
+    calls = {
+        "dequantize": lambda a, ax: dequantize(quantize(a, replace(amx, axis=ax))),
+        "rotate": lambda a, ax: rotate(a, spec, ax),
+        "rotate transposed": lambda a, ax: rotate(a, spec, ax, transpose=True),
+        "reference_quantize": lambda a, ax: reference_quantize(a, 32, lloyd, axis=ax)[0],
+    }
+    for name, call in calls.items():
+        got, grouped = call(x, axis), call(grouped_x, -1)
+        assert got.shape == x.shape and not got.flags.c_contiguous, name
+        assert grouped.flags.c_contiguous and np.moveaxis(got, axis, -1).flags.c_contiguous, name
+        want = np.moveaxis(grouped, -1, axis)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=name)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mxemu
-from mxemu import cli, config, dequantize, matmul, quantize, tensorfile
+from mxemu import cli, config, dequantize, matmul, quantize, quantize_dequantize, tensorfile
 
 
 @pytest.fixture
@@ -121,6 +121,33 @@ def test_rotate_out_of_range_dim_axis_is_config_error(tmp_path, capsys):
     tensorfile.write_tensor(path, np.ones((3, 4)))
     assert cli.main(["rotate", "--in", path, "--dim-axis", "5"]) == 3
     assert capsys.readouterr().err == "error: axis 5 out of range for shape (3, 4)\n"
+
+
+@pytest.mark.parametrize("argv", [["stats", "--group-size", "32", "--axis"],
+                                  ["rotate", "--dim-axis"]])
+def test_an_axis_past_a_c_int_is_config_error(small_file, capsys, argv):
+    assert cli.main(argv + [str(2**40), "--in", small_file]) == 3
+    assert capsys.readouterr().err == f"error: axis {2**40} out of range for shape (8, 64)\n"
+
+
+def test_results_along_axis_0_are_written_as_npy_files_with_their_values(rng, tmp_path, capsys):
+    x_path, q_out, r_out = (str(tmp_path / name) for name in ("x.npy", "q.npy", "r.npy"))
+    x = rng.normal(0.5, 1.0, (64, 8))
+    tensorfile.write_tensor(x_path, x)
+    argv = ["quantize", "--in", x_path, "--format", "fp4_e2m1_asym", "--scale", "fp8e5m2",
+            "--group-size", "32", "--axis", "0", "--out", q_out]
+    assert cli.main(argv) == 0
+    assert cli.main(["rotate", "--in", x_path, "--seed", "3", "--dim-axis", "0",
+                     "--out", r_out]) == 0
+    want_q = quantize_dequantize(x, config("fp4_e2m1_asym", "fp8e5m2", 32, 0))
+    want_r = mxemu.rotate(x, mxemu.make_rotation(64, 3), axis=0)
+    for path, want in ((q_out, want_q), (r_out, want_r)):
+        with open(path, "rb") as fh:  # a transposed view is saved in Fortran order
+            np.lib.format.read_magic(fh)
+            assert np.lib.format.read_array_header_1_0(fh)[1:] == (True, np.float64)
+        back = tensorfile.read_tensor(path)
+        assert back.flags.c_contiguous and back.shape == (64, 8)
+        np.testing.assert_array_equal(back.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated"])

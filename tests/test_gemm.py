@@ -366,3 +366,22 @@ def test_matmul_fold_memory_is_flat_in_k(monkeypatch, accum):
     small, large = fold_peak(512), fold_peak(8192)
     assert small < 10 * 64 * 64 * 8  # a few (M, N) float64 buffers
     assert large <= small + 4096
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+@pytest.mark.parametrize("name, scale", [("fp4_e2m1_asym", "fp8e5m2"), ("fp8_e4m3", "pot_floor"),
+                                         ("fp6_e3m2", "fp32")])
+def test_fold_and_matmul_bits_do_not_depend_on_the_operand_layout(rng, accum, name, scale):
+    a, b = rng.normal(0, 1, (8, 64)), rng.normal(0, 1, (64, 12)) * 2.0 ** rng.integers(-9, 9, 12)
+    cfg, spec = config(name, scale, 16), AccumSpec(accum)
+    da, db = dequantize(quantize(a, cfg)), dequantize(quantize(b, replace(cfg, axis=0)))
+    want_fold = gemm._fold(da, db, 16, spec).view(np.uint8)
+    want = matmul(a, b, cfg, replace(cfg, axis=0), spec).view(np.uint8)
+    for order_a in "CF":
+        for order_b in "CF":
+            got = gemm._fold(np.asarray(da, order=order_a), np.asarray(db, order=order_b), 16,
+                             spec)
+            np.testing.assert_array_equal(got.view(np.uint8), want_fold)
+            got = matmul(np.asarray(a, order=order_a), np.asarray(b, order=order_b), cfg,
+                         replace(cfg, axis=0), spec)
+            np.testing.assert_array_equal(got.view(np.uint8), want)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import mxemu
 from mxemu import config, dequantize, quantize, quantize_dequantize
+from mxemu.analysis import error_decomposition, group_stats
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import get_format, max_normal
 from mxemu.quantizer import QuantConfig, QuantizedTensor, quantize_with_clamps
+from mxemu.rotation import make_rotation, rotate
 from mxemu.scaling import (
     SCALE_MODES,
     fp32_scale,
@@ -363,3 +365,15 @@ def test_quantized_tensor_shape_roundtrip(rng):
                      16 if x.shape[axis] % 16 == 0 else "row", axis=axis)
         y = quantize_dequantize(x, cfg)
         assert y.shape == x.shape
+
+
+@pytest.mark.parametrize("axis", [2, -3, 2**31, 2**40, -2**40])
+def test_an_axis_out_of_range_is_a_config_error_however_large(axis):
+    x = np.zeros((4, 64))
+    match = rf"axis {axis} out of range for shape \(4, 64\)"
+    for call in (lambda: quantize(x, config("fp4_e2m1", "pot_floor", 32, axis)),
+                 lambda: group_stats(x, 32, axis),
+                 lambda: error_decomposition(x, config("fp4_e2m1", "pot_floor", 32, axis)),
+                 lambda: rotate(x, make_rotation(64, 0), axis)):
+        with pytest.raises(ConfigError, match=match):
+            call()

@@ -12,6 +12,9 @@ from mxemu.formats import FORMATS, register_codebook_format
 from mxemu.scaling import SCALE_MODES
 from mxemu.tensorfile import read_quantized, read_tensor, write_quantized, write_tensor
 
+# one MXQ1 scale record: the scale pair and their 32-bit audit words
+RECORD = np.dtype([("pos", "<f8"), ("neg", "<f8"), ("pbits", "<u4"), ("nbits", "<u4")])
+
 
 def test_mxq1_round_trip_of_byte_codes(tmp_path, rng):
     q = quantize(rng.normal(0, 1, (4, 64)), config("fp8_e4m3_asym", "fp8e5m2", 32))
@@ -34,10 +37,22 @@ def test_mxq1_rejects_codes_wider_than_a_byte(tmp_path, rng):
     assert not (tmp_path / "x.mxq").exists()
 
 
+def test_mxq1_reader_rejects_codes_wider_than_a_byte(tmp_path):
+    fmt = register_codebook_format("mxq1_wide_read_codebook", np.arange(1.0, 201.0))
+    names = b"".join(bytes([len(n)]) + n for n in (fmt.name.encode(), b"pot_floor"))
+    header = struct.pack("<qqBBdB", 32, -1, 0, 0, 0.0, 1) + struct.pack("<Q", 32)
+    (tmp_path / "x.mxq").write_bytes(b"MXQ1" + names + header + bytes(32))
+    try:
+        with pytest.raises(TensorFileError, match="one byte per code; .* has 9-bit codes"):
+            read_quantized(tmp_path / "x.mxq")
+    finally:
+        FORMATS.pop(fmt.name)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("group_size", 24), ("group_size", 0), ("group_size", 16), ("group_count", 7), ("axis", 5),
-     ("first_dim", 2**62)],
+     ("axis", 2**40), ("first_dim", 2**62)],
 )
 def test_mxq1_header_must_fit_the_shape(tmp_path, rng, field, value):
     cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
@@ -386,3 +401,92 @@ def test_mxq1_round_trip_of_a_huge_codebooks_degenerate_scale(tmp_path):
         FORMATS.pop(fmt.name)
     np.testing.assert_array_equal(back.scales, q.scales)
     np.testing.assert_array_equal(dequantize(back), np.zeros((1, 32)))
+
+
+def _header_size(cfg, ndim):
+    """Bytes of an MXQ1 file before its codes: magic, names, fixed header, dims."""
+    return 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name) + 27 + 8 * ndim
+
+
+@pytest.mark.parametrize("name, code", [("fp4_e2m1", 0xF1), ("fp4_e2m1_asym", 0x10),
+                                        ("fp8_e4m3", 0x7F), ("fp8_e4m3", 0xFF)])
+def test_mxq1_rejects_a_code_that_names_no_value(tmp_path, rng, name, code):
+    cfg = config(name, "pot_floor", 32)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    data[_header_size(cfg, 2) + 77] = code
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match=f"a stored code names no {cfg.fmt.name} value"):
+        read_quantized(path)
+
+
+@pytest.mark.parametrize("flag", [2, 3, 5, 9])
+def test_mxq1_asymmetric_flag_must_be_0_or_1(tmp_path, rng, flag):
+    cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    flag_at = 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name) + 16
+    assert data[flag_at] == 1
+    data[flag_at] = flag
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match=f"asymmetric flag {flag} is not 0 or 1"):
+        read_quantized(path)
+
+
+def test_mxq1_format_name_must_not_carry_the_asym_suffix(tmp_path, rng):
+    cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    flag_at = 4 + 2 + len(cfg.fmt.name) + len(cfg.scale_mode.name) + 16
+    data[flag_at] = 0  # the name, not the flag, now says "_asym"
+    data[4:4 + 1 + len(cfg.fmt.name)] = b"\x0dfp4_e2m1_asym"
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match="'fp4_e2m1_asym' is not an element format name"):
+        read_quantized(tmp_path / "x.mxq")
+
+
+@pytest.mark.parametrize("name, mode", [("fp4_e2m1", "fp8e5m2"), ("fp4_e2m1", "nvfp4_double"),
+                                        ("int4", "pot_floor")])
+def test_mxq1_rejects_a_symmetric_group_with_two_scales(tmp_path, rng, name, mode):
+    cfg = config(name, mode, 16)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    records_at = _header_size(cfg, 2) + 256 + 8
+    rec = np.frombuffer(data, RECORD, offset=records_at)
+    assert np.array_equal(rec["pos"], rec["neg"])
+    other = np.flatnonzero(rec["pos"] != rec["pos"][5])[0]
+    rec["neg"][5], rec["nbits"][5] = rec["pos"][other], rec["pbits"][other]  # a scale on the grid
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match="a symmetric group's two stored scales differ"):
+        read_quantized(path)
+
+
+FUZZ_CONFIGS = [("fp4_e2m1_asym", "fp8e5m2", 32), ("int4_asym", "pot_floor", 32),
+                ("fp4_e2m1", "nvfp4_double", 16)]
+
+
+@pytest.mark.parametrize("name, mode, gs", FUZZ_CONFIGS)
+def test_mxq1_fuzz_truncations_and_header_bit_flips(tmp_path, rng, name, mode, gs):
+    """Every truncation and every single-bit flip of the header either raises
+    TensorFileError or reads back a tensor that is written back unchanged."""
+    cfg = config(name, mode, gs)
+    path, again = tmp_path / "x.mxq", tmp_path / "again.mxq"
+    write_quantized(path, quantize(rng.normal(0.3, 1, (32, 32)), cfg))
+    data = path.read_bytes()
+    flips = [bytes(data[:i]) + bytes([data[i] ^ (1 << bit)]) + data[i + 1:]
+             for i in range(_header_size(cfg, 2)) for bit in range(8)]
+    read_back = 0
+    for case in [data[:end] for end in range(len(data))] + flips:
+        path.write_bytes(case)
+        try:
+            q = read_quantized(path)
+        except TensorFileError:
+            continue
+        write_quantized(again, q)
+        assert again.read_bytes() == case
+        read_back += 1
+    assert 0 < read_back < len(flips)  # such as axis -2, another valid file
