@@ -25,7 +25,6 @@ from .formats import (
     grid,
     max_normal,
     parse_format,
-    register_codebook_format,
     round_to_grid,
 )
 from .gemm import AccumSpec, dot, matmul

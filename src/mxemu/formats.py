@@ -17,8 +17,8 @@ emin = 1 - bias, rounds the mantissa q = rint(a * 2**(M - e)) (q = 2**(M+1)
 is the carry into the next binade) and returns the magnitude code
 ((e - emin) << M) + q, as code order is magnitude order. The code's low M
 bits are q's, so rint's ties-to-even q is the even mantissa code. INT
-formats use rint(a); codebook formats search their magnitudes (the table
-index is the code), ties going to the even one.
+formats use rint(a). Every element format is at most 8 bits wide, so its
+codes are uint8; only fp16, the scale grid, has uint16 codes.
 
 The kernel works in one float64 buffer (a, then q) and one int32 buffer
 (the exponent shift, then (e - emin) << M), and builds the code in the code
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "ELEMENT_FORMAT_NAMES",
     "get_format",
     "parse_format",
-    "register_codebook_format",
     "grid",
     "max_normal",
     "min_positive",
@@ -69,9 +69,8 @@ _RESERVED = ("all", "fn", "ieee")
 class ElementFormat:
     """Bit-level description of an element code.
 
-    kind is "float" (sign/exponent/mantissa, with subnormals and M >= 1),
-    "int" (sign-magnitude integer) or "codebook" (user-supplied magnitude
-    table, see register_codebook_format).
+    kind is "float" (sign/exponent/mantissa, with subnormals and M >= 1)
+    or "int" (sign-magnitude integer).
     """
 
     name: str
@@ -80,13 +79,14 @@ class ElementFormat:
     mantissa_bits: int = 0
     total_bits: int = 0
     reserved: str = "all"
-    codebook: tuple = ()
 
     @property
     def bias(self) -> int:
         return 2 ** (self.exponent_bits - 1) - 1
 
     def __post_init__(self):
+        if self.kind not in ("float", "int"):
+            raise ConfigError(f"{self.name}: unknown format kind {self.kind!r}")
         if self.kind == "float":
             expected = 1 + self.exponent_bits + self.mantissa_bits
             if self.total_bits != expected:
@@ -119,12 +119,9 @@ def _tables(fmt: ElementFormat):
     """
     if fmt.kind == "float":
         mags, codes = _float_magnitudes(fmt)
-    elif fmt.kind in ("int", "codebook"):  # the magnitude code is the table index
-        top = 2.0 ** (fmt.total_bits - 1)
-        mags = np.array(fmt.codebook, dtype=float) if fmt.kind == "codebook" else np.arange(top)
+    else:  # the magnitude code is the integer itself
+        mags = np.arange(2.0 ** (fmt.total_bits - 1))
         codes = np.arange(len(mags), dtype=np.uint32)
-    else:
-        raise ConfigError(f"unknown format kind {fmt.kind!r}")
     lut = np.full(1 << (fmt.total_bits - 1), np.nan)
     lut[codes] = mags
     return np.concatenate([-mags[:0:-1], mags]), mags, np.concatenate([lut, -lut])
@@ -141,7 +138,7 @@ _BASE_FORMATS = [
     ElementFormat("int8", "int", total_bits=8),
 ]
 
-FORMATS: dict[str, ElementFormat] = {f.name: f for f in _BASE_FORMATS}
+FORMATS = MappingProxyType({f.name: f for f in _BASE_FORMATS})
 
 # Names accepted as element formats in quantization configs ("fp16" is a
 # shared-scale encoding only).
@@ -167,32 +164,13 @@ def parse_format(name: str) -> tuple[ElementFormat, bool]:
     asym = name.endswith("_asym")
     base = name[: -len("_asym")] if asym else name
     if base not in FORMATS:
-        books = sorted(n for n, f in FORMATS.items() if f.kind == "codebook")
-        valid = [*ELEMENT_FORMAT_NAMES, *books]
-        raise ConfigError(f"unsupported format {name!r}; valid names: {', '.join(valid)} "
+        raise ConfigError(f"unsupported format {name!r}; valid names: "
+                          f"{', '.join(ELEMENT_FORMAT_NAMES)} "
                           "(append '_asym' for asymmetric scaling)")
     fmt = FORMATS[base]
     if fmt.name == "fp16":
         raise ConfigError("fp16 is a shared-scale encoding, not an element format")
     return fmt, asym
-
-
-def register_codebook_format(name: str, magnitudes) -> ElementFormat:
-    """Register a custom element format from a table of magnitudes.
-
-    The grid becomes the sign-symmetric closure of the given magnitudes
-    plus zero. Intended for externally supplied codebooks.
-    """
-    mags = np.unique(np.abs(np.asarray(magnitudes, dtype=float)))
-    mags = mags[mags > 0]
-    if mags.size == 0:
-        raise ConfigError("codebook needs at least one nonzero magnitude")
-    if not np.isfinite(mags).all():
-        raise ConfigError("codebook magnitudes must be finite")
-    bits = max(2, math.ceil(math.log2(2 * (mags.size + 1))))
-    fmt = ElementFormat(name, "codebook", total_bits=bits, codebook=(0.0, *mags))
-    FORMATS[name] = fmt
-    return fmt
 
 
 def grid(fmt: ElementFormat) -> np.ndarray:
@@ -220,8 +198,8 @@ def round_to_codes(v, fmt: ElementFormat, out=None) -> np.ndarray:
     Magnitudes beyond max_normal (and NaN) take the code of max_normal; ties
     take the even mantissa code; the sign bit is set only on nonzero codes
     of negative values, so -0.0 and values that round to zero give code 0.
-    out, an array of v's shape in the code dtype (uint8, or uint16 past 8
-    bits), receives the codes and is returned.
+    out, an array of v's shape in the code dtype (uint8, or uint16 for
+    fp16's scale codes), receives the codes and is returned.
     """
     mags = _tables(fmt)[1]
     arr = np.asarray(v, dtype=float)
@@ -243,14 +221,8 @@ def round_to_codes(v, fmt: ElementFormat, out=None) -> np.ndarray:
         np.subtract(M + bias - 1, s, out=s)
         s <<= M
         codes += s.astype(dtype)
-    elif fmt.kind == "int":
-        np.copyto(codes, np.rint(a, out=a), casting="unsafe")
     else:
-        hi = np.minimum(np.searchsorted(mags, a), len(mags) - 1)
-        lo = np.maximum(hi - 1, 0)
-        d_lo, d_hi = a - mags[lo], mags[hi] - a
-        take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
-        np.copyto(codes, np.where(take_hi, hi, lo), casting="unsafe")
+        np.copyto(codes, np.rint(a, out=a), casting="unsafe")
     neg = np.less(arr, 0)
     neg &= codes != 0
     codes |= np.multiply(neg.view(np.uint8), 1 << (fmt.total_bits - 1), dtype=dtype)

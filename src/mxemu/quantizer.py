@@ -68,6 +68,9 @@ __all__ = [
 ]
 
 
+_ELEMENT_FORMATS = frozenset(map(formats.get_format, formats.ELEMENT_FORMAT_NAMES))
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     fmt: ElementFormat
@@ -77,6 +80,9 @@ class QuantConfig:
     axis: int = -1
 
     def __post_init__(self):
+        if self.fmt not in _ELEMENT_FORMATS:  # so every element code fits a uint8
+            raise ConfigError(f"{self.fmt.name} is not an element format; element formats: "
+                              f"{', '.join(formats.ELEMENT_FORMAT_NAMES)}")
         sizes = scaling.NVFP4_GROUP_SIZES
         if self.scale_mode.kind == "double" and self.group_size not in sizes:
             raise ConfigError(f"scale mode {self.scale_mode.name} requires group size in {sizes}")
@@ -124,7 +130,7 @@ class QuantizedTensor:
 
     shape: tuple
     config: QuantConfig
-    codes: np.ndarray   # uint8/uint16, grouped layout (..., n)
+    codes: np.ndarray   # uint8, grouped layout (..., n)
     scales: np.ndarray  # float64, (..., n_groups, 2)
     tensor_scale: float | None = None
 
@@ -209,7 +215,7 @@ def _quantize(x, cfg: QuantConfig, tensor_amax, with_clamps: bool):
     moved, xg, gs = group_view(arr, cfg.group_size, cfg.axis)
     if tensor_amax is None and cfg.scale_mode.kind == "double":
         tensor_amax = float(max(hi, -lo))  # the one tensor scale comes from all blocks
-    codes = np.empty(moved.shape, np.uint8 if cfg.fmt.total_bits <= 8 else np.uint16)
+    codes = np.empty(moved.shape, np.uint8)
     scales = np.empty((*xg.shape[:-1], 2))
     clamped = np.empty(moved.shape, bool) if with_clamps else None
     code_groups, scale_pairs, tensor_scale = codes.reshape(-1, gs), scales.reshape(-1, 2), None

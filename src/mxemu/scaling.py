@@ -93,13 +93,13 @@ def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
 
     All codes on that side are zero, so the value is observationally inert;
     it only has to be positive, tiny, and representable. PoT modes use the
-    power of two 2**(-emax_elem - 126), floored at 2**-1074 so that it never
-    underflows to zero, fp32 that value rounded to binary32, and
+    power of two 2**(-emax_elem - 126), which lies in [2**-141, 2**-128] for
+    every element format, fp32 that value rounded to binary32, and
     float-encoded modes the smallest positive value of their grid.
     """
     if mode.kind in ("fp", "double"):
         return formats.min_positive(mode.scale_fmt)
-    tiny = math.ldexp(1.0, max(-formats.emax_elem(fmt) - 126, -1074))
+    tiny = math.ldexp(1.0, -formats.emax_elem(fmt) - 126)
     return float(binary32_scale(tiny, "fp32 scale")) if mode.kind == "fp32" else tiny
 
 

@@ -17,9 +17,11 @@ signed int32, whatever its scale mode. The tensor-scale flag is 1 exactly
 when the mode is nvfp4_double and the config is not zero-point (a
 zero-point config has no tensor scale), else 0 with the field +0.0. The
 reader raises TensorFileError when the header breaks that rule, holds an
-asymmetric flag other than 0 or 1 or names a format with "_asym" or wider
-than a byte, when a code names no value of the format
-(formats.valid_codes), when an audit word differs from the one it
+asymmetric flag other than 0 or 1 or names a format with "_asym", when a
+code names no value of the format (formats.valid_codes), when a float or
+symmetric int code is the negative zero 1 << (bits - 1), which quantize
+never writes (it gives -0.0 code 0; zero-point codes are unsigned, so
+there it is a value), when an audit word differs from the one it
 recomputes, when a scale is not finite, positive and on its mode's grid,
 when a symmetric group's two scales differ, when a zero point is not an
 integer, or when bytes follow the scale records. So every file it reads is
@@ -107,10 +109,6 @@ def _read_csv(path) -> np.ndarray:
 
 def write_quantized(path, q: QuantizedTensor) -> None:
     cfg = q.config
-    if cfg.fmt.total_bits > 8:
-        raise TensorFileError(
-            f"MXQ1 stores one byte per code; {cfg.fmt.name} has {cfg.fmt.total_bits}-bit codes"
-        )
     buf = io.BytesIO()
     buf.write(_QMAGIC)
     for name in (cfg.fmt.name, cfg.scale_mode.name):
@@ -122,7 +120,7 @@ def write_quantized(path, q: QuantizedTensor) -> None:
     buf.write(_QHEADER.pack(gs, cfg.axis, int(cfg.asymmetric), int(ts is not None),
                             0.0 if ts is None else ts, len(q.shape)))
     buf.write(struct.pack(f"<{len(q.shape)}Q", *q.shape))
-    buf.write(q.codes.astype(np.uint8).tobytes(order="C"))
+    buf.write(q.codes.tobytes(order="C"))
     flat_scales = q.scales.reshape(-1, 2)
     buf.write(struct.pack("<Q", flat_scales.shape[0]))
     rec = np.empty(flat_scales.shape[0], dtype=_SCALE_RECORD)
@@ -183,9 +181,6 @@ def read_quantized(path) -> QuantizedTensor:
         raise TensorFileError(f"{path}: {names[0].decode()!r} is not an element format name")
     if has_ts != (cfg.scale_mode.kind == "double" and not cfg.uses_zero_point):
         raise TensorFileError(f"{path}: tensor-scale flag {has_ts} does not fit {cfg.label()}")
-    if cfg.fmt.total_bits > 8:
-        raise TensorFileError(f"{path}: MXQ1 stores one byte per code; {cfg.fmt.name} has "
-                              f"{cfg.fmt.total_bits}-bit codes")
     try:
         moved, xg, _ = group_view(np.broadcast_to(np.uint8(0), shape), cfg.group_size, axis)
     except (ConfigError, ValueError) as exc:  # ValueError: dims too large to index
@@ -194,6 +189,8 @@ def read_quantized(path) -> QuantizedTensor:
     named = valid_codes(cfg.fmt)  # a gather only where a code in range names no value
     if codes.max() >= named.size or not named.all() and not named[codes].all():
         raise TensorFileError(f"{path}: a stored code names no {cfg.fmt.name} value")
+    if not cfg.uses_zero_point and (codes == 1 << (cfg.fmt.total_bits - 1)).any():
+        raise TensorFileError(f"{path}: a stored code is the negative zero of {cfg.fmt.name}")
     (n_groups,) = struct.unpack("<Q", _read_exact(fh, 8, "group count"))
     groups = xg.shape[:-1]
     if n_groups != math.prod(groups):

@@ -18,7 +18,6 @@ from mxemu.formats import (
     max_normal,
     min_positive,
     parse_format,
-    register_codebook_format,
     round_to_grid,
 )
 
@@ -37,8 +36,6 @@ def mantissa_parity(mag, fmt):
     """Mantissa code parity derived from the format definition itself."""
     if fmt.kind == "int":
         return int(mag) % 2
-    if fmt.kind == "codebook":
-        return fmt.codebook.index(mag) % 2  # the magnitude code is the table index
     if mag == 0:
         return 0
     e = math.frexp(mag)[1] - 1
@@ -139,6 +136,17 @@ def test_grid_of_an_unknown_kind_is_config_error():
         formats.grid(formats.ElementFormat("x", "bogus"))
 
 
+def test_an_unknown_kind_is_rejected_on_construction():
+    with pytest.raises(ConfigError, match="x: unknown format kind 'bogus'"):
+        formats.ElementFormat("x", "bogus")
+
+
+def test_the_format_registry_is_read_only():
+    with pytest.raises(TypeError):
+        formats.FORMATS["fp5_e2m2"] = FP4
+    assert sorted(formats.FORMATS) == sorted([*ELEMENT_FORMAT_NAMES, "fp16"])
+
+
 # ---- rounding ------------------------------------------------------------
 
 def test_round_examples():
@@ -231,7 +239,7 @@ def test_decode_rejects_invalid_code():
         decode(bad, E4M3)
 
 
-# ---- name parsing and custom codebooks ------------------------------------
+# ---- name parsing ----------------------------------------------------------
 
 def test_parse_format_suffix():
     fmt, asym = parse_format("fp4_e2m1_asym")
@@ -250,27 +258,6 @@ def test_fp16_not_an_element_format():
         parse_format("fp16")
 
 
-def test_custom_codebook_roundtrip():
-    fmt = register_codebook_format("demo_cb", [0.5, 1.0, 2.5])
-    try:
-        g = grid(fmt)
-        assert g.tolist() == [-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5]
-        assert round_to_grid(2.0, fmt) == 2.5  # 2.0 nearer 2.5 than 1.0
-        np.testing.assert_array_equal(decode(encode(g, fmt), fmt), g)
-    finally:
-        formats.FORMATS.pop("demo_cb", None)
-
-
-@pytest.mark.parametrize("mags, match", [
-    ([0.0, -0.0], "at least one nonzero magnitude"),
-    ([1.0, np.inf], "must be finite"),
-])
-def test_register_codebook_rejects_bad_magnitudes(mags, match):
-    with pytest.raises(ConfigError, match=match):
-        register_codebook_format("bad_cb", mags)
-    assert "bad_cb" not in formats.FORMATS
-
-
 def test_decode_rejects_codes_wider_than_the_format():
     for codes, fmt in ((np.array([200]), FP4), (np.array([0x88], np.uint8), FP4),
                        (np.array([300]), get_format("int8")), (np.array([-1]), FP4)):
@@ -281,13 +268,7 @@ def test_decode_rejects_codes_wider_than_the_format():
 
 # ---- the rounding kernel's contract ---------------------------------------
 
-def _contract_codebook():
-    fmt = register_codebook_format("contract_cb", [0.3, 0.5, 1.0, 1.7, 2.5, 4.0, 9.0])
-    formats.FORMATS.pop(fmt.name)  # leave the registry as the other tests expect it
-    return fmt
-
-
-CONTRACT_FORMATS = ALL_FORMATS + [FP16, _contract_codebook()]
+CONTRACT_FORMATS = ALL_FORMATS + [FP16]
 
 
 @functools.lru_cache(maxsize=None)

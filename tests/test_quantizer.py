@@ -10,7 +10,7 @@ import mxemu
 from mxemu import config, dequantize, quantize, quantize_dequantize
 from mxemu.analysis import error_decomposition, group_stats
 from mxemu.errors import ConfigError, DataError
-from mxemu.formats import get_format, max_normal
+from mxemu.formats import ELEMENT_FORMAT_NAMES, ElementFormat, get_format, max_normal
 from mxemu.quantizer import QuantConfig, QuantizedTensor, quantize_with_clamps
 from mxemu.rotation import make_rotation, rotate
 from mxemu.scaling import (
@@ -110,6 +110,22 @@ def test_double_scale_group_size_is_checked_when_the_config_is_built():
         config("fp4_e2m1", "nvfp4_double", 64)
     with pytest.raises(ConfigError, match="requires group size in"):
         replace(config("fp4_e2m1", "nvfp4_double", 16), group_size=None)
+
+
+@pytest.mark.parametrize("fmt", [get_format("fp16"), ElementFormat("fp5_e2m2", "float", 2, 2, 5)],
+                         ids=lambda f: f.name)
+def test_quant_config_takes_only_element_formats(fmt):
+    with pytest.raises(ConfigError, match=f"{fmt.name} is not an element format"):
+        QuantConfig(fmt, 32)
+
+
+@pytest.mark.parametrize("name", ELEMENT_FORMAT_NAMES)
+def test_codes_are_bytes_for_every_element_format(name, rng):
+    x = rng.normal(0, 1, (2, 32))
+    for mode in SCALE_MODES.values():
+        for asym in (False, True):
+            q = quantize(x, QuantConfig(get_format(name), 16, mode, asym))
+            assert q.codes.dtype == np.uint8
 
 
 def test_group_size_row_string():

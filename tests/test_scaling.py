@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import (
-    FORMATS,
+    ELEMENT_FORMAT_NAMES,
+    emax_elem,
     encode,
     get_format,
     grid,
     max_normal,
     min_positive,
-    register_codebook_format,
 )
 from mxemu.quantizer import config, quantize
 from mxemu.scaling import (
@@ -131,6 +131,16 @@ def test_asym_scales_one_sided():
         assert pos > 0
 
 
+def test_pot_degenerate_scales_are_normal_binary64_powers_of_two():
+    # emax_elem runs from 2 (FP4) to 15 (fp16), so no floor is ever needed
+    for name in (*ELEMENT_FORMAT_NAMES, "fp16"):
+        fmt = get_format(name)
+        want = 2.0 ** (-emax_elem(fmt) - 126)
+        assert 2.0**-141 <= want <= 2.0**-128
+        assert degenerate_scale(SCALE_MODES["pot_floor"], fmt) == want
+        assert degenerate_scale(SCALE_MODES["pot_round"], fmt) == want
+
+
 @given(vals=st.lists(st.floats(min_value=-1e6, max_value=1e6,
                                allow_nan=False), min_size=1, max_size=32))
 def test_asym_symmetric_consistency(vals):
@@ -206,7 +216,6 @@ def test_group_scale_dispatch_matches_scalar_routines():
 # sym/asym and the inputs below; a DataError counts as its name.
 PINNED_SCALE_BITS = {
     "fp4_e2m1": "e7d3487790b52b6720f969b54bd96b6f47d953ade9f5db7f7dc7b60c36ff7590",
-    "pinned_cb_1e30": "c18602e1d263b6a0d283710a4b378261fb5efa63d3fd5a78e25d80f9796c534b",
 }
 
 
@@ -215,9 +224,7 @@ def _scale_digest(fmt):
     x = rng.normal(0.2, 1.5, (12, 32))
     x[0], x[1, :16] = 0.0, 0.0
     x[2], x[3] = np.abs(x[2]), -np.abs(x[3])
-    inputs = [x, x * 1e300, np.zeros((2, 32))]
-    if fmt.kind != "codebook":  # its amax / 1e30 would underflow every grid
-        inputs.append(x * 1e-310)
+    inputs = [x, x * 1e300, np.zeros((2, 32)), x * 1e-310]
     h = hashlib.sha256()
     for mode in SCALE_MODES.values():
         for asym in (False, True):
@@ -238,13 +245,7 @@ def _scale_digest(fmt):
 
 @pytest.mark.parametrize("fmt_name", sorted(PINNED_SCALE_BITS))
 def test_scale_bits_pinned(fmt_name):
-    if fmt_name == "pinned_cb_1e30":  # fp32 flushes its degenerate 2**-225 to 2**-149
-        register_codebook_format(fmt_name, [0.3, 1.0, 1e30])
-    try:
-        assert _scale_digest(get_format(fmt_name)) == PINNED_SCALE_BITS[fmt_name]
-    finally:
-        if fmt_name == "pinned_cb_1e30":
-            FORMATS.pop(fmt_name)
+    assert _scale_digest(get_format(fmt_name)) == PINNED_SCALE_BITS[fmt_name]
 
 
 def test_group_scales_of_an_unknown_kind_is_config_error():

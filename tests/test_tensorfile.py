@@ -8,7 +8,7 @@ import pytest
 
 from mxemu import config, dequantize, quantize
 from mxemu.errors import TensorFileError
-from mxemu.formats import FORMATS, register_codebook_format
+from mxemu.formats import decode, round_to_codes
 from mxemu.scaling import SCALE_MODES
 from mxemu.tensorfile import read_quantized, read_tensor, write_quantized, write_tensor
 
@@ -24,29 +24,12 @@ def test_mxq1_round_trip_of_byte_codes(tmp_path, rng):
     np.testing.assert_array_equal(back.scales, q.scales)
 
 
-def test_mxq1_rejects_codes_wider_than_a_byte(tmp_path, rng):
-    fmt = register_codebook_format("mxq1_wide_codebook", np.arange(1.0, 201.0))
-    try:
-        assert fmt.total_bits == 9
-        q = quantize(rng.normal(0, 1, (4, 64)) * 100, config(fmt.name, "pot_floor", 32))
-        assert q.codes.max() > 255
-        with pytest.raises(TensorFileError, match="one byte per code"):
-            write_quantized(tmp_path / "x.mxq", q)
-    finally:
-        FORMATS.pop(fmt.name)
-    assert not (tmp_path / "x.mxq").exists()
-
-
-def test_mxq1_reader_rejects_codes_wider_than_a_byte(tmp_path):
-    fmt = register_codebook_format("mxq1_wide_read_codebook", np.arange(1.0, 201.0))
-    names = b"".join(bytes([len(n)]) + n for n in (fmt.name.encode(), b"pot_floor"))
+def test_mxq1_reader_rejects_a_file_that_names_fp16(tmp_path):
+    names = b"".join(bytes([len(n)]) + n for n in (b"fp16", b"pot_floor"))
     header = struct.pack("<qqBBdB", 32, -1, 0, 0, 0.0, 1) + struct.pack("<Q", 32)
-    (tmp_path / "x.mxq").write_bytes(b"MXQ1" + names + header + bytes(32))
-    try:
-        with pytest.raises(TensorFileError, match="one byte per code; .* has 9-bit codes"):
-            read_quantized(tmp_path / "x.mxq")
-    finally:
-        FORMATS.pop(fmt.name)
+    (tmp_path / "x.mxq").write_bytes(b"MXQ1" + names + header + bytes(2 * 32))
+    with pytest.raises(TensorFileError, match="bad config names.*fp16 is a shared-scale"):
+        read_quantized(tmp_path / "x.mxq")
 
 
 @pytest.mark.parametrize(
@@ -390,17 +373,16 @@ def test_npy_writes_a_0d_array_as_one_element(tmp_path):
     assert back.shape == (1,) and back[0] == 2.5
 
 
-def test_mxq1_round_trip_of_a_huge_codebooks_degenerate_scale(tmp_path):
-    fmt = register_codebook_format("mxq1_huge_codebook", [1.0, 1e300])
-    try:
-        q = quantize(np.zeros((1, 32)), config(fmt.name, "pot_floor", 32))
-        np.testing.assert_array_equal(q.scales, 2.0**-1074)
-        write_quantized(tmp_path / "x.mxq", q)
-        back = read_quantized(tmp_path / "x.mxq")
-    finally:
-        FORMATS.pop(fmt.name)
+@pytest.mark.parametrize("name", ["fp4_e2m1", "fp4_e2m1_asym", "int8"])
+def test_mxq1_round_trip_of_a_least_subnormal_groups_scale(tmp_path, name):
+    x = np.zeros((1, 32))
+    x[0, :2] = 5e-324, -5e-324  # amax 2**-1074 on either side: the floor of the scale rule
+    q = quantize(x, config(name, "pot_floor", 32))
+    np.testing.assert_array_equal(q.scales, 2.0**-1074)
+    write_quantized(tmp_path / "x.mxq", q)
+    back = read_quantized(tmp_path / "x.mxq")
     np.testing.assert_array_equal(back.scales, q.scales)
-    np.testing.assert_array_equal(dequantize(back), np.zeros((1, 32)))
+    np.testing.assert_array_equal(dequantize(back), x)
 
 
 def _header_size(cfg, ndim):
@@ -419,6 +401,31 @@ def test_mxq1_rejects_a_code_that_names_no_value(tmp_path, rng, name, code):
     path.write_bytes(bytes(data))
     with pytest.raises(TensorFileError, match=f"a stored code names no {cfg.fmt.name} value"):
         read_quantized(path)
+
+
+@pytest.mark.parametrize("name", ["fp4_e2m1_asym", "fp8_e4m3", "int4"])
+def test_mxq1_rejects_the_negative_zero_code(tmp_path, rng, name):
+    cfg = config(name, "pot_floor", 32)
+    path = tmp_path / "x.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    data[_header_size(cfg, 2)] = 1 << (cfg.fmt.total_bits - 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match=f"code is the negative zero of {cfg.fmt.name}"):
+        read_quantized(path)
+
+
+def test_mxq1_zero_point_code_of_the_sign_bit_is_a_value(tmp_path, rng):
+    cfg = config("int4_asym", "pot_floor", 32)
+    path, again = tmp_path / "x.mxq", tmp_path / "again.mxq"
+    write_quantized(path, quantize(rng.normal(0, 1, (4, 64)), cfg))
+    data = bytearray(path.read_bytes())
+    data[_header_size(cfg, 2)] = 0x08  # unsigned: the code 8, not -0
+    path.write_bytes(bytes(data))
+    q = read_quantized(path)
+    assert q.codes[0, 0] == 8
+    write_quantized(again, q)
+    assert again.read_bytes() == data
 
 
 @pytest.mark.parametrize("flag", [2, 3, 5, 9])
@@ -490,3 +497,30 @@ def test_mxq1_fuzz_truncations_and_header_bit_flips(tmp_path, rng, name, mode, g
         assert again.read_bytes() == case
         read_back += 1
     assert 0 < read_back < len(flips)  # such as axis -2, another valid file
+
+
+@pytest.mark.parametrize("name, mode, gs", FUZZ_CONFIGS)
+def test_mxq1_fuzz_a_code_byte(tmp_path, rng, name, mode, gs):
+    """Each of the 256 values of one code byte either raises TensorFileError
+    or reads back a tensor that is written back unchanged and whose every code
+    is the one quantize gives its value: no value has two codes."""
+    cfg = config(name, mode, gs)
+    path, again = tmp_path / "x.mxq", tmp_path / "again.mxq"
+    write_quantized(path, quantize(rng.normal(0.3, 1, (32, 32)), cfg))
+    data = bytearray(path.read_bytes())
+    read_back = 0
+    for byte in range(256):
+        data[_header_size(cfg, 2)] = byte
+        path.write_bytes(bytes(data))
+        try:
+            q = read_quantized(path)
+        except TensorFileError:
+            continue
+        write_quantized(again, q)
+        assert again.read_bytes() == data
+        if not cfg.uses_zero_point:  # zero-point codes are unsigned integers, each canonical
+            np.testing.assert_array_equal(round_to_codes(decode(q.codes, cfg.fmt), cfg.fmt),
+                                          q.codes)
+        read_back += 1
+    # every code of the 4-bit format, less the negative zero of a signed one
+    assert read_back == 16 - (not cfg.uses_zero_point)
