@@ -9,25 +9,34 @@ a group, an output entry's partial is its first term (not zero, so a sum of
 -0.0 terms stays -0.0) plus each later term in turn; the group partials then
 combine in ascending order. Each float64 product and every partial round to
 the accumulator dtype, so under float64 this is dequantize-multiply-sum in
-that order. Working memory is O(M*N + (M + N)*gs) beyond the dequantized
-operands.
+that order. Working memory is O(M*N + (M + N)*gs + K) beyond the dequantized
+operands; the K is one entry's terms, gathered to set the sign of a zero.
 
-Each group takes the cheapest path that provably gives the ordered fold's
-bits:
+The fold takes the cheapest path that provably gives the ordered fold's bits:
 
-- One BLAS product where the group's sum is exact. Let q_a[i] be the
-  exponent of the lowest set bit over row i of the group's slice of da, and
-  q_b[j] the same over column j of db's slice. Every term of entry (i, j) is
-  then an integer multiple of 2**(q_a[i] + q_b[j]). If
+- One BLAS product over the exact prefix of K. Take the first k columns of
+  da and rows of db. Let q_a[i] be the exponent of the lowest set bit over
+  row i of da's slice, and q_b[j] the same over column j of db's slice.
+  Every term of entry (i, j) is then an integer multiple of
+  2**(q_a[i] + q_b[j]). If
 
-      gs * max_i(amax_a[i] / 2**q_a[i]) * max_j(amax_b[j] / 2**q_b[j]) < 2**(p - 1),
+      k * max_i(amax_a[i] / 2**q_a[i]) * max_j(amax_b[j] / 2**q_b[j]) < 2**(p - 1),
 
-  with p = 53 for float64 and 24 for float32, every term and every partial
-  sum fits in p bits. With min q_a + min q_b >= -1074 (float64) or -149
+  with p = 53 for float64 and 24 for float32, every term and every sum of
+  terms fits in p bits: each group's partials, and each running sum of the
+  group partials too. With min q_a + min q_b >= -1074 (float64) or -149
   (float32), finite slices and no overflow, each is exact, so any summation
-  order gives the same value. Only the sign of a zero can differ: a zero
-  entry of the ordered fold is -0.0 exactly when every one of its terms is
-  -0.0, so the entries where the product is zero are set from their terms.
+  order gives the same value. The fold walks the groups once, keeping the
+  per-row maxima of amax and minima of q for da and the per-column ones for
+  db, which are O(M + N), and extends the prefix while the bound holds for
+  all of its columns. One product over the prefix then stands in for its
+  groups. Only the sign of a zero can differ. An exact sum of two values is
+  -0.0 only when both are -0.0 (x + -x is +0.0), so a zero entry of the
+  ordered fold is -0.0 exactly when every one of its terms is, whether they
+  lie in one group or span many. The entries where the product is zero are
+  set from their terms.
+- Past the prefix each group is tested on its own, with k = gs, and takes
+  one BLAS product where its sum is exact.
 - Binary32 arithmetic where the accumulator is float32 and both slices are
   binary32 values: a product of two binary32 values is exact in binary64,
   so the float32 product is the float64 product rounded once to float32.
@@ -90,27 +99,51 @@ def _line_stats(s: np.ndarray, axis: int):
     """Largest |x| and the exponent of the lowest set bit over each row
     (axis 1) or column (axis 0) of a float64 slice."""
     mag = s.view(np.int64) & ((1 << 63) - 1)  # the bits of |x| order like |x|
-    sig = mag & ((1 << 52) - 1)
-    sig |= 1 << 52  # a normal's implicit bit; a subnormal keeps its lowest set bit
-    low = sig & -sig
-    # |x| = sig * 2**(max(biased, 1) - 1075), and low = 2**k has the float64
-    # biased exponent k + 1023
-    q = (low.astype(np.float64).view(np.int64) >> 52) + np.maximum(mag >> 52, 1) - 2098
+    # |x| = sig * 2**(max(biased, 1) - 1075), with a normal's implicit bit 52
+    # in sig. Setting bit 52 keeps sig's lowest set bit (a subnormal's lies
+    # below it) under the exponent bits, so low = 2**k is that bit, and its
+    # float64 biased exponent is k + 1023
+    low = mag | (1 << 52)
+    low &= -low
+    q = low.astype(np.float64).view(np.int64)
+    q >>= 52
+    q += np.maximum(mag >> 52, 1)
+    q -= 2098
     q[mag == 0] = _NO_BITS
     return mag.max(axis).view(np.float64), q.min(axis)
 
 
-def _sum_is_exact(sa: np.ndarray, sb: np.ndarray, dtype: np.dtype) -> bool:
-    """Whether every term and partial of sa @ sb is exact in dtype."""
+def _sum_is_exact(k: int, stats_a, stats_b, dtype: np.dtype) -> bool:
+    """Whether every term and partial of a k-term sum is exact in dtype, given
+    the (amax, q) line stats of both operands' slices, as _line_stats gives."""
     p, least = _EXACT[dtype]
-    (amax_a, qa), (amax_b, qb) = _line_stats(sa, 1), _line_stats(sb, 0)
-    # bounds every partial; NaN or inf in a slice fails the test too
-    if not sa.shape[1] * amax_a.max() * amax_b.max() <= np.finfo(dtype).max:
-        return False
-    if qa.min() + qb.min() < least:
-        return False
-    wide = np.ldexp(amax_a, -qa).max() * np.ldexp(amax_b, -qb).max()
-    return sa.shape[1] * wide < 2.0 ** (p - 1)
+    (amax_a, qa), (amax_b, qb) = stats_a, stats_b
+    with np.errstate(over="ignore"):  # a bound past binary64 fails the test
+        # bounds every partial; NaN or inf in a slice fails the test too
+        if not k * amax_a.max() * amax_b.max() <= np.finfo(dtype).max:
+            return False
+        if qa.min() + qb.min() < least:
+            return False
+        wide = np.ldexp(amax_a, -qa).max() * np.ldexp(amax_b, -qb).max()
+        return k * wide < 2.0 ** (p - 1)
+
+
+def _joined(run, stats):
+    """Line stats of two slices joined along K, from the stats of each."""
+    return np.maximum(run[0], stats[0]), np.minimum(run[1], stats[1])
+
+
+def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype):
+    """Length k0 of the longest run of leading groups whose whole sum is
+    exact in dtype, and the line stats of the group at k0 (None at the end)."""
+    run = None
+    for k0 in range(0, da.shape[1], gs):
+        stats = _line_stats(da[:, k0:k0 + gs], 1), _line_stats(db[k0:k0 + gs], 0)
+        joined = stats if run is None else (_joined(run[0], stats[0]), _joined(run[1], stats[1]))
+        if not _sum_is_exact(k0 + gs, *joined, dtype):
+            return k0, stats
+        run = joined
+    return da.shape[1], None
 
 
 def _set_zero_signs(part: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> None:
@@ -139,9 +172,16 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec) -> np.ndarra
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
     wide = np.empty(shape)  # reused: a fresh BLAS output per group costs page faults
-    for g0 in range(0, da.shape[1], gs):
+    k0, stats = _exact_prefix(da, db, gs, dtype)
+    if k0:
+        sa, sb = da[:, :k0], db[:k0]
+        _set_zero_signs(np.matmul(sa, sb, out=wide), sa, sb)
+        np.copyto(acc, wide)  # an exact float64 sum casts to dtype without rounding
+    for g0 in range(k0, da.shape[1], gs):
         sa, sb = da[:, g0:g0 + gs], db[g0:g0 + gs]
-        if _sum_is_exact(sa, sb, dtype):
+        if g0 > k0:
+            stats = _line_stats(sa, 1), _line_stats(sb, 0)
+        if _sum_is_exact(gs, *stats, dtype):
             src = np.matmul(sa, sb, out=wide)
             _set_zero_signs(src, sa, sb)
         else:

@@ -7,7 +7,10 @@ through the fast Walsh-Hadamard butterfly, never as a dense matrix, along
 the axis that quantizer.group_view moves last (or rejects as out of range).
 rotate walks the moved rows in the blocks of quantizer.row_blocks, runs each
 block's butterflies in place in its rows of an output with the axis last, so
-its stages stay in cache, and returns that output's np.moveaxis view.
+its stages stay in cache, and returns that output's np.moveaxis view. The
+butterfly runs its radix-2 stages two at a time, as radix-4 passes that make
+the same additions and subtractions in the same order, so the bits are those
+of the radix-2 stages one after another.
 """
 
 from __future__ import annotations
@@ -54,17 +57,36 @@ def make_rotation(dim: int, seed: int) -> RotationSpec:
 
 def _fwht(out: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard transform of each row of a C-ordered
-    2-D array, in place: each butterfly stage writes its own rows."""
+    2-D array, in place.
+
+    The radix-2 stages h = 1, 2, 4, ... (each pairs x[i] with x[i + h] into
+    their sum and difference) run two at a time: stages h and 2h as one
+    radix-4 pass over quarters x0..x3 of each 4h-long span. It computes
+    x0 + x1, x0 - x1, x2 + x3 and x2 - x3, then their sums and differences
+    across the pairs: the same additions and subtractions, in the same order,
+    as the two radix-2 stages, so the same bits. When log2 of the row length
+    is odd, a last radix-2 stage remains.
+    """
     n = out.shape[-1]
     h = 1
-    while h < n:
-        blocks = out.reshape(-1, n // (2 * h), 2, h)
-        a = blocks[:, :, 0, :]
-        b = blocks[:, :, 1, :]
+    while 4 * h <= n:
+        quads = out.reshape(-1, n // (4 * h), 4, h)
+        # below h = 16 one offset in h at a time, so each operation runs
+        # along one long strided line instead of many runs of h
+        for c in range(h) if h < 16 else (slice(None),):
+            x0, x1, x2, x3 = (quads[:, :, i, c] for i in range(4))
+            s01, d01, s23 = x0 + x1, x0 - x1, x2 + x3
+            np.subtract(x2, x3, out=x3)
+            np.add(s01, s23, out=x0)
+            np.subtract(s01, s23, out=x2)
+            np.add(d01, x3, out=x1)
+            np.subtract(d01, x3, out=x3)
+        h *= 4
+    if h < n:
+        a, b = (out.reshape(-1, 2, h)[:, i, :] for i in range(2))
         s = a + b
         np.subtract(a, b, out=b)
         a[...] = s
-        h *= 2
 
 
 def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np.ndarray:

@@ -336,6 +336,110 @@ def test_matmul_zero_signs_past_one_gather(rng):
     assert np.signbit(out[:, ::3]).all() and not np.signbit(out[:, 1::3]).any()
 
 
+def exact_prefix(a, b, cfg_a, cfg_b, accum):
+    """Length of the exact prefix that the fold of matmul(a, b) runs as one product."""
+    da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
+    db = dequantize(quantize(b, replace(cfg_b, axis=0)))
+    return gemm._exact_prefix(da, db, cfg_a.group_size, np.dtype(accum))[0]
+
+
+MXFP4 = config("fp4_e2m1", "pot_floor", 32)
+
+
+@pytest.mark.parametrize("accum, shift", [("float64", 52), ("float32", 22)])
+def test_matmul_exact_prefix_ending_inside_k(rng, accum, shift):
+    # group 2 is 2**shift times the rest: alone its sum is exact, joined to
+    # the groups before it the sum is not, and the other groups' partials
+    # are about one unit in the last place of its partial, so they round
+    a = rng.normal(0.1, 1, (6, 128))
+    a[:, 64:96] *= 2.0**shift
+    b = rng.normal(0, 1, (128, 5))
+    assert exact_prefix(a, b, MXFP4, MXFP4, accum) == 64
+    assert_matmul_matches_oracle(a, b, MXFP4, MXFP4, accum)
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_matmul_exact_prefix_ending_at_the_first_group(rng, accum):
+    cfg = config("fp4_e2m1_asym", "pot_floor", 32)
+    a = rng.normal(0.1, 1, (6, 128))
+    first = a[:, :32]
+    first[first > 0] *= 2.0**60  # no sum over the first group is exact
+    b = rng.normal(0, 1, (128, 5))
+    assert exact_prefix(a, b, cfg, cfg, accum) == 0
+    assert_matmul_matches_oracle(a, b, cfg, cfg, accum)
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+@pytest.mark.parametrize("cfg", [AMX, MXFP4], ids=["amxfp4", "mxfp4"])
+def test_matmul_exact_prefix_covering_k(rng, accum, cfg):
+    a, b = rng.normal(0.1, 1, (6, 128)), rng.normal(0, 1, (128, 5))
+    assert exact_prefix(a, b, cfg, cfg, accum) == 128
+    assert_matmul_matches_oracle(a, b, cfg, cfg, accum)
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_matmul_zero_signs_across_the_groups_of_a_prefix(rng, accum):
+    a = rng.normal(0, 1, (4, 128))
+    a[0] = 0.0  # every term of row 0 is a signed zero
+    a[1] = 0.0
+    a[1, 5], a[1, 70] = 1.0, -1.0  # row 1 cancels across groups 0 and 2
+    b = rng.normal(0, 1, (128, 4))
+    b[:, 0] = -1.0  # row 0's terms are all -0.0 ...
+    b[:, 1] = -1.0
+    b[100, 1] = 1.0  # ... but for one +0.0 in group 3
+    assert exact_prefix(a, b, MXFP4, MXFP4, accum) == 128
+    out = assert_matmul_matches_oracle(a, b, MXFP4, MXFP4, accum)
+    assert out[0, 0] == 0.0 and np.signbit(out[0, 0])
+    assert out[0, 1] == 0.0 and not np.signbit(out[0, 1])
+    assert out[1, 0] == 0.0 and not np.signbit(out[1, 0])
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_dot_whose_exact_prefix_covers_k(rng, accum):
+    xa, xb = rng.normal(0.3, 1, 256), rng.normal(-0.2, 1, 256)
+    assert exact_prefix(xa[None], xb[:, None], AMX, AMX, accum) == 256
+    qa, qb = quantize(xa, AMX), quantize(xb, AMX)
+    d = dot(qa, qb, AccumSpec(accum))
+    expect = python_matmul_oracle(dequantize(qa)[None], dequantize(qb)[:, None], 32,
+                                  np.dtype(accum).type)[0, 0]
+    assert np.float64(d).tobytes() == np.float64(expect).tobytes()
+
+
+def test_matmul_prefix_bound_past_binary64_fails_quietly(rng):
+    # joined, row 0's groups span 2**1100 between largest and lowest bit: the
+    # bound itself is past binary64, which fails the test without a warning
+    a = rng.normal(0.1, 1, (3, 64))
+    a[0, :32] *= 2.0**600
+    a[0, 32:] *= 2.0**-500
+    b = rng.normal(0, 1, (64, 4))
+    assert exact_prefix(a, b, MXFP4, MXFP4, "float64") == 32
+    assert_matmul_matches_oracle(a, b, MXFP4, MXFP4, "float64")
+
+
+def benchmark_like_activation(rng, rows, cols):
+    """Normal activation with a shift per group of 32 and two outlier channels."""
+    x = rng.normal(0, 1, (rows, cols))
+    x += np.repeat(0.75 * rng.normal(0, 1, (rows, cols // 32)), 32, axis=1)
+    x[:, rng.choice(cols, 2, replace=False)] *= 40.0
+    return x
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_prefix_lengths_of_the_benchmark_products(seed):
+    # pins the path the gemm benchmark's products take: rotated AMXFP4 in
+    # float64 is one product over all of K, MXFP8 in float64 one product over
+    # a part of it, and MXFP8 in float32 has no exact prefix
+    rng = np.random.default_rng(seed)
+    k = 1024
+    a = benchmark_like_activation(rng, 32, k)
+    b = 0.05 * benchmark_like_activation(rng, 32, k).T
+    rot = make_rotation(k, 3)
+    assert exact_prefix(rotate(a, rot), rotate(b, rot, axis=0), AMX, AMX, "float64") == k
+    mxfp8 = config("fp8_e4m3", "pot_floor", 32)
+    assert 0 < exact_prefix(a, b, mxfp8, mxfp8, "float64") < k
+    assert exact_prefix(a, b, mxfp8, mxfp8, "float32") == 0
+
+
 @pytest.mark.parametrize("accum", ["float64", "float32"])
 def test_matmul_fold_memory_is_flat_in_k(monkeypatch, accum):
     def fold_peak(k):

@@ -26,6 +26,44 @@ def splitmix64_reference(seed, n):
     return out
 
 
+def radix2_rotate(x, spec, axis=-1, transpose=False):
+    """rotate spelled out with one radix-2 butterfly stage at a time: the
+    bits contract of the fused butterfly."""
+    y = np.moveaxis(np.asarray(x, dtype=float), axis, -1) * (1.0 if transpose else spec.signs)
+    y = np.ascontiguousarray(y)
+    rows = y.reshape(-1, spec.dim)  # a view: the stages write into y
+    n, h = spec.dim, 1
+    while h < n:
+        blocks = rows.reshape(-1, n // (2 * h), 2, h)
+        a = blocks[:, :, 0, :]
+        b = blocks[:, :, 1, :]
+        s = a + b
+        np.subtract(a, b, out=b)
+        a[...] = s
+        h *= 2
+    y *= 1.0 / np.sqrt(spec.dim)
+    if transpose:
+        y *= spec.signs
+    return np.moveaxis(y, -1, axis)
+
+
+@pytest.mark.parametrize("log2_dim", range(13))
+def test_rotate_bits_match_the_radix2_butterfly(log2_dim):
+    dim = 1 << log2_dim
+    spec = make_rotation(dim, 100 + log2_dim)
+    rng = np.random.default_rng(log2_dim)
+    for axis in (-1, 0, 1):
+        shape = [3, 2, 5]
+        shape[axis] = dim
+        for exponents in ((-30, 31), (30, 31), (-30, -29)):
+            # 2**-30 to 2**30 mixed, then all 2**30, then all 2**-30: the sums round
+            x = rng.normal(0, 1, shape) * 2.0 ** rng.integers(*exponents, shape)
+            for transpose in (False, True):
+                got = rotate(x, spec, axis=axis, transpose=transpose)
+                want = radix2_rotate(x, spec, axis=axis, transpose=transpose)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_splitmix64_matches_reference():
     for seed in (0, 1, 42, 2**64 - 1):
         got = splitmix64(seed, 8).tolist()
