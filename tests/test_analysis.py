@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mxemu import config, quantize_dequantize
+from mxemu import analysis, config, quantize_dequantize, quantizer
 from mxemu.analysis import (
     GroupStats,
     error_decomposition,
@@ -13,7 +15,8 @@ from mxemu.analysis import (
 )
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import max_normal
-from mxemu.quantizer import dequantize, group_view, quantize, quantize_with_clamps
+from mxemu.quantizer import (dequantize, group_view, quantize, quantize_with_clamps, row_blocks,
+                             validate_range)
 
 from conftest import shifted_gaussian
 
@@ -121,6 +124,76 @@ def test_group_stats_do_not_depend_on_the_memory_layout(rng, group_size, axis):
     moved = group_stats(np.moveaxis(x, axis, -1).copy(), group_size, -1)
     np.testing.assert_array_equal(stats.mean, moved.mean)
     np.testing.assert_array_equal(stats.kurtosis, moved.kurtosis)
+
+
+def _serial_group_stats(x, group_size, axis):
+    """group_stats on one thread: the per-block body walked over row_blocks in
+    block order, kept as the reference the threaded walk must match bit for bit."""
+    _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
+    mean, kurtosis = np.empty((2, xg.size // gs))
+    for groups, flat in row_blocks(xg):
+        m = mean[groups] = flat.mean(axis=1)
+        z = flat - m[:, None]
+        sigma = np.sqrt((z**2).mean(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z /= sigma[:, None]
+        kurtosis[groups] = np.where(sigma > 0, (z**4).mean(axis=1), np.nan)
+    return mean, kurtosis
+
+
+def _assert_serial_bits(x, group_size, axis):
+    stats = group_stats(x, group_size, axis)
+    for got, want in zip((stats.mean, stats.kurtosis), _serial_group_stats(x, group_size, axis)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    return stats
+
+
+def _stats_input(shape, axis, order="C"):
+    """standard_t(3) data of shape in the given memory order, with a constant
+    group at group sizes up to 32 and, past 1-D, a constant row along axis."""
+    moved_shape = np.moveaxis(np.empty(shape), axis, -1).shape
+    rows = np.random.default_rng(6).standard_t(3, moved_shape).reshape(-1, moved_shape[-1])
+    rows[0, :32] = 1.5
+    if len(rows) > 1:
+        rows[-1] = -2.0
+    return np.array(np.moveaxis(rows.reshape(moved_shape), -1, axis), order=order)
+
+
+# a non-C order along the last axis, or a C order along another, takes the
+# fancy-gather path of row_blocks past 1-D
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("group_size", [16, 32, None])
+@pytest.mark.parametrize("shape,axis", [
+    ((512,), -1), ((40, 512), -1), ((512, 40), 0),
+    ((4, 5, 512), -1), ((512, 4, 5), 0), ((4, 512, 5), 1),
+])
+def test_group_stats_bits_match_the_serial_walk(shape, axis, group_size, order):
+    x = _stats_input(shape, axis, order)
+    stats = _assert_serial_bits(x, group_size, axis)
+    if group_size or x.ndim > 1:  # else the one group is not constant
+        assert np.isnan(stats.kurtosis).any()
+
+
+@pytest.mark.parametrize("extra_workers", [0, 3])
+def test_group_stats_bits_match_the_serial_walk_over_many_batches(monkeypatch, extra_workers):
+    workers = analysis._usable_cpus() + extra_workers  # more threads than CPUs with extras
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(quantizer, "BLOCK_ELEMS", 64)  # one row per block
+    x = _stats_input((4 * workers + 3, 64), -1)
+    assert len(list(row_blocks(group_view(x, 32)[1]))) >= 4 * workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        _assert_serial_bits(x, 32, -1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_group_stats_raise_under_the_caller_errstate():
+    x = np.full((4, 64), 1e308)  # each group's sum overflows
+    for walk in (group_stats, _serial_group_stats):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            walk(x, 32, -1)
 
 
 # ---- stats_summary ----------------------------------------------------------

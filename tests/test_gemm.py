@@ -458,6 +458,10 @@ def test_matmul_fold_memory_is_flat_in_k(monkeypatch, accum):
         monkeypatch.setattr(gemm, "dequantize", dequantize_then_mark)
         rng = np.random.default_rng(5)
         a, b = rng.normal(0, 1, (64, k)), rng.normal(0, 1, (k, 64))
+        # CPython keeps up to 2000 freed tuples of each length below 20 for reuse;
+        # fill those lists, so that tuples the fold frees are released, not kept
+        full = [tuple(range(n)) for n in range(1, 20) for _ in range(2000)]
+        del full
         tracemalloc.start()
         try:
             matmul(a, b, AMX, AMX, AccumSpec(accum))
