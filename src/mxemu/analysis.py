@@ -8,19 +8,19 @@ correction, so any distribution is bounded below by 1 and a Gaussian sits
 at 3; it is NaN for a constant group, whose variance is zero. Quantization
 error decomposes exhaustively into a clamping part (elements whose scaled
 magnitude exceeds the format's max normal, or whose zero-point code
-saturates, as quantizer.quantize_with_clamps reports them) and a rounding
-part; the report's mse is defined as (clamp + round) / count so the
-decomposition identity is exact in float64. Both walk the grouped view in
-the blocks of quantizer.row_blocks: error_decomposition quantizes a block at
-a time, sums each group inside it left to right, and folds all group
+saturates, as quantizer.quantize_blocks reports them) and a rounding part;
+the report's mse is defined as (clamp + round) / count so the decomposition
+identity is exact in float64. Both walk the grouped view in the blocks of
+quantizer.row_blocks: error_decomposition takes them from quantize_blocks,
+sums each group inside a block left to right, and folds all group
 subtotals at the end. A block of many short groups sums one column at a
 time across its groups (scaling.fold_groups), with a running sum's bits.
 
-group_stats runs its blocks on up to N threads, N the number of CPUs the
-process may run on, with at most N blocks in flight, so its working memory
-is O(N x block). Each block's groups are computed and written by one
-thread, so the bits depend neither on N nor on scheduling. The other walks
-stay serial: their blocks measured no faster on threads.
+group_stats runs its blocks on up to N threads, N the CPUs the process may
+run on, with at most N blocks in flight (working memory O(N x block)); a
+lone block runs in the calling thread. One thread computes and writes each
+block's groups, so the bits depend neither on N nor on scheduling. The other
+walks stay serial: their blocks measured no faster on threads.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from __future__ import annotations
 import contextvars
 import os
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .quantizer import (QuantConfig, dequantize, group_view, quantize_with_clamps, row_blocks,
-                        validate_range)
+from .quantizer import QuantConfig, group_view, quantize_blocks, row_blocks, validate_range
 from .scaling import fold_groups
 
 __all__ = [
@@ -94,14 +94,19 @@ def _on_threads(body, blocks):
     """Call body(*block) for each block on up to _usable_cpus() threads, each
     call in a copy of the caller's context, with at most that many blocks in
     flight. Results are read in block order, so the first error raised is
-    that of the first block that fails."""
+    that of the first block that fails. A lone block runs in the calling
+    thread: starting a pool thread costs more than its work saves."""
+    blocks = iter(blocks)
+    first, second = next(blocks, None), next(blocks, None)
+    if second is None:
+        return body(*first)
     # imported here: concurrent.futures loads logging, 0.6 MB that only this walk needs
     from concurrent.futures import ThreadPoolExecutor
 
     workers = _usable_cpus()
     with ThreadPoolExecutor(workers) as pool:
         in_flight = deque()
-        for block in blocks:
+        for block in chain((first, second), blocks):
             in_flight.append(pool.submit(contextvars.copy_context().run, body, *block))
             if len(in_flight) == workers:  # before the next block is made
                 in_flight.popleft().result()
@@ -154,6 +159,8 @@ def mse(x, y) -> float:
     b = np.asarray(y, dtype=float)
     if a.shape != b.shape:
         raise ConfigError(f"mse: shape mismatch {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DataError("mse: empty input")
     return float(np.mean((a - b) ** 2))
 
 
@@ -202,12 +209,5 @@ def _seq_sum(a: np.ndarray) -> np.ndarray:
 def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:
     """Quantize x under cfg and split squared error into clamp/round parts,
     block by block (see ErrorReport.fold for the fold order)."""
-    arr, lo, hi = validate_range(x)
-    xg = group_view(arr, cfg.group_size, cfg.axis)[1]
-    block_cfg, tensor_amax = replace(cfg, axis=-1), float(max(hi, -lo))
-
-    def errors(block):
-        q, clamped = quantize_with_clamps(block, block_cfg, tensor_amax=tensor_amax)
-        return (block - dequantize(q)) ** 2, clamped
-
-    return ErrorReport.fold((errors(block) for _, block in row_blocks(xg)), arr.size)
+    return ErrorReport.fold((((block - values) ** 2, clamped)
+                             for block, values, clamped in quantize_blocks(x, cfg)), np.size(x))

@@ -17,9 +17,9 @@ for side 1 and the positive one for side 0, and quantize divides x into
 the gathered buffer; symmetric groups broadcast their one scale. Where a
 group scale times the nvfp4_double tensor scale underflows to 0.0,
 quantize divides by the tensor scale and then by the group scale.
-quantize_with_clamps also reports which elements clamp, from the values
-quantize has already divided: |x/s| > max_normal for float formats, and a
-zero-point code outside [0, 2**bits - 1] before the clip.
+quantize_blocks also reports which elements clamp, from the values quantize
+has already divided: |x/s| > max_normal for float formats, and a zero-point
+code outside [0, 2**bits - 1] before the clip.
 
 Zero-point configs ignore the scale mode. Their scale is (max - min) /
 (2**bits - 1) rounded to binary32, which makes every (code - zp) * scale
@@ -31,14 +31,14 @@ All arithmetic is float64 and deterministic: quantizing the same tensor
 with the same config always yields bitwise-identical codes, scales, and
 dequantized values, regardless of group count or processing order.
 
-Groups are independent, so quantize and dequantize walk them in blocks of
-at most BLOCK_ELEMS elements (row_blocks over the grouped view) and write
-each into the same rows of a preallocated output in the grouped layout, so
-no temporary is the size of the tensor. A result of x's shape is returned as
-that output's np.moveaxis view, a transposed view unless the axis is last.
-The one coupling across blocks, the nvfp4_double tensor amax, comes from the
-min and max that validate_range reads over the whole tensor. BLOCK_ELEMS is
-a constant: no size changes a bit.
+Groups are independent, so quantize, dequantize and quantize_blocks walk
+them in blocks of at most BLOCK_ELEMS elements (row_blocks over the grouped
+view), through one block step each. quantize and dequantize write a block
+into its rows of an output in the grouped layout, so no temporary is the
+size of the tensor, and return a result of x's shape as the output's
+np.moveaxis view. The one coupling across blocks, the nvfp4_double tensor
+amax, comes from the min and max that validate_range reads over the whole
+tensor. BLOCK_ELEMS is a constant: no size changes a bit.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
     "row_blocks",
     "validate_range",
     "quantize",
-    "quantize_with_clamps",
+    "quantize_blocks",
     "dequantize",
     "quantize_dequantize",
 ]
@@ -164,8 +164,8 @@ def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
         raise ConfigError(f"axis {axis} out of range for shape {arr.shape}") from None
     n = moved.shape[-1]
     gs = n if group_size is None else group_size
-    if gs <= 0:
-        raise ConfigError(f"group size must be positive, got {gs}")
+    if isinstance(gs, bool) or not isinstance(gs, (int, np.integer)) or gs <= 0:
+        raise ConfigError(f"group size must be a positive integer, got {gs!r}")
     if n % gs != 0:
         raise ConfigError(
             f"group size {gs} does not divide extent {n} along axis {axis}"
@@ -193,51 +193,41 @@ def row_blocks(a: np.ndarray):
 
 def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
     """Quantize a real tensor group-wise under cfg."""
-    return _quantize(x, cfg, None, with_clamps=False)[0]
-
-
-def quantize_with_clamps(x, cfg: QuantConfig, *, tensor_amax=None):
-    """quantize(x, cfg) and a boolean mask of x's shape (an np.moveaxis view)
-    of the elements that clamp: their scaled magnitude exceeds the format's
-    max normal, or their zero-point code falls outside [0, 2**bits - 1]
-    before the clip.
-
-    tensor_amax, the max |x| of a tensor that x is a block of, replaces x's
-    own as the nvfp4_double tensor amax: x then quantizes as inside it.
-    """
-    q, clamped = _quantize(x, cfg, tensor_amax, with_clamps=True)
-    return q, np.moveaxis(clamped, -1, cfg.axis)
-
-
-def _quantize(x, cfg: QuantConfig, tensor_amax, with_clamps: bool):
-    """The QuantizedTensor of x and, if asked, its clamp mask in the moved layout."""
     arr, lo, hi = validate_range(x)
     moved, xg, gs = group_view(arr, cfg.group_size, cfg.axis)
-    if tensor_amax is None and cfg.scale_mode.kind == "double":
-        tensor_amax = float(max(hi, -lo))  # the one tensor scale comes from all blocks
-    codes = np.empty(moved.shape, np.uint8)
-    scales = np.empty((*xg.shape[:-1], 2))
-    clamped = np.empty(moved.shape, bool) if with_clamps else None
+    codes, scales = np.empty(moved.shape, np.uint8), np.empty((*xg.shape[:-1], 2))
     code_groups, scale_pairs, tensor_scale = codes.reshape(-1, gs), scales.reshape(-1, 2), None
     for groups, block in row_blocks(xg):
+        tensor_scale = _quantize_block(block, cfg, float(max(hi, -lo)), code_groups[groups],
+                                       scale_pairs[groups])[0]
+    return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale)
+
+
+def quantize_blocks(x, cfg: QuantConfig):
+    """Yield (block, values, clamped) for each block of row_blocks over x's
+    grouped view under cfg: block is row_blocks' (G, gs) block of x's groups,
+    values are those rows of dequantize(quantize(x, cfg)), bit for bit, and
+    clamped marks the elements that clamp (see the module docstring). x is
+    validated once, as the first block is asked for."""
+    arr, lo, hi = validate_range(x)
+    for _, block in row_blocks(group_view(arr, cfg.group_size, cfg.axis)[1]):
+        codes, scales = np.empty(block.shape, np.uint8), np.empty((len(block), 2))
+        tensor_scale, pre = _quantize_block(block, cfg, float(max(hi, -lo)), codes, scales)
+        values = _dequantize_block(codes, scales, cfg, tensor_scale, np.empty(block.shape))
         if cfg.uses_zero_point:
-            code_groups[groups], scale_pairs[groups], pre = _quantize_zero_point(block, cfg)
+            yield block, values, (pre < 0) | (pre > 2**cfg.fmt.total_bits - 1)
         else:
-            tensor_scale, pre = _quantize_scaled(block, cfg, tensor_amax, code_groups[groups],
-                                                 scale_pairs[groups])
-        if with_clamps:
-            mask = clamped.reshape(-1, gs)[groups]
-            if cfg.uses_zero_point:
-                np.logical_or(pre < 0, pre > 2**cfg.fmt.total_bits - 1, out=mask)
-            else:
-                np.greater(np.abs(pre, out=pre), formats.max_normal(cfg.fmt), out=mask)
-    return QuantizedTensor(arr.shape, cfg, codes, scales, tensor_scale), clamped
+            yield block, values, np.abs(pre, out=pre) > formats.max_normal(cfg.fmt)
 
 
-def _quantize_scaled(xg: np.ndarray, cfg: QuantConfig, tensor_amax, codes: np.ndarray,
-                     scales: np.ndarray):
+def _quantize_block(xg: np.ndarray, cfg: QuantConfig, tensor_amax: float, codes: np.ndarray,
+                    scales: np.ndarray):
     """Write the codes and (G, 2) scale pairs of the (G, gs) groups xg into
-    codes and scales; return the tensor scale and x / scale."""
+    codes and scales; return the tensor scale (None unless nvfp4_double, whose
+    tensor amax is tensor_amax) and the values before rounding: x / scale, or
+    the zero-point codes before their clip."""
+    if cfg.uses_zero_point:
+        return None, _quantize_zero_point(xg, cfg, codes, scales)
     pos_s, neg_s, tensor_scale = scaling.group_scales(
         xg, cfg.scale_mode, cfg.fmt, cfg.asymmetric, tensor_amax=tensor_amax)
     scales[:, 0], scales[:, 1] = pos_s, neg_s
@@ -261,9 +251,11 @@ def _side_scales(scales: np.ndarray, side: np.ndarray) -> np.ndarray:
     return np.take(scales.reshape(-1), first + side, mode="wrap")
 
 
-def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
-    """Codes, (scale, zero point) pairs and the codes before their clip, for
-    an asymmetric integer format; zero_point = round(-min / scale)."""
+def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig, codes: np.ndarray,
+                         scales: np.ndarray) -> np.ndarray:
+    """Write the codes and (scale, zero point) pairs of an asymmetric integer
+    format into codes and scales; return the codes before their clip.
+    zero_point = round(-min / scale)."""
     q_max = 2**cfg.fmt.total_bits - 1
     # numpy's reductions, not scaling.fold_groups: a zero min's sign reaches zp
     lo = xg.min(-1)
@@ -278,28 +270,33 @@ def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig):
     pre = xg / scale[..., None]
     np.round(pre, out=pre)
     pre += zp[..., None]
-    codes = np.clip(pre, 0, q_max, out=np.empty(pre.shape, np.uint8), casting="unsafe")
+    np.clip(pre, 0, q_max, out=codes, casting="unsafe")
     zp[(span == 0) & (hi == 0)] = 0.0  # all-zero groups store +0.0, not -0.0
-    return codes, np.stack([scale, zp], axis=-1), pre
+    scales[:, 0], scales[:, 1] = scale, zp
+    return pre
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the real tensor, (-1)^s * |grid value| * scale(side), as
     the np.moveaxis view of the grouped layout it is computed in."""
-    cfg = q.config
-    _, cg, gs = group_view(q.codes, cfg.group_size)
+    _, cg, gs = group_view(q.codes, q.config.group_size)
     out = np.empty(q.codes.shape)
     out_groups, scale_pairs = out.reshape(-1, gs), q.scales.reshape(-1, 2)
     for groups, block in row_blocks(cg):
-        s, vals = scale_pairs[groups], out_groups[groups]
-        if cfg.uses_zero_point:
-            np.multiply(block - s[:, 1:], s[:, :1], out=vals)
-        else:
-            formats.decode(block, cfg.fmt, out=vals)
-            vals *= _side_scales(s, vals < 0) if cfg.asymmetric else s[:, :1]
-            if q.tensor_scale is not None:
-                vals *= q.tensor_scale
-    return np.moveaxis(out, -1, cfg.axis)
+        _dequantize_block(block, scale_pairs[groups], q.config, q.tensor_scale, out_groups[groups])
+    return np.moveaxis(out, -1, q.config.axis)
+
+
+def _dequantize_block(codes: np.ndarray, scales: np.ndarray, cfg: QuantConfig, tensor_scale,
+                      out: np.ndarray) -> np.ndarray:
+    """Write the values of a block's (G, gs) codes and (G, 2) scale pairs into out."""
+    if cfg.uses_zero_point:
+        return np.multiply(codes - scales[:, 1:], scales[:, :1], out=out)
+    formats.decode(codes, cfg.fmt, out=out)
+    out *= _side_scales(scales, out < 0) if cfg.asymmetric else scales[:, :1]
+    if tensor_scale is not None:
+        out *= tensor_scale
+    return out
 
 
 def quantize_dequantize(x, cfg: QuantConfig) -> np.ndarray:

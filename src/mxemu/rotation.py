@@ -47,9 +47,10 @@ class RotationSpec:
 
 
 def make_rotation(dim: int, seed: int) -> RotationSpec:
-    """Seeded rotation spec; dim must be a power of two >= 1."""
-    if dim < 1 or (dim & (dim - 1)) != 0:
-        raise ConfigError(f"rotation dimension must be a power of two, got {dim}")
+    """Seeded rotation spec; dim must be an integer power of two >= 1."""
+    if (isinstance(dim, bool) or not isinstance(dim, (int, np.integer))
+            or dim < 1 or dim & (dim - 1)):
+        raise ConfigError(f"rotation dimension must be an integer power of two, got {dim!r}")
     bits = splitmix64(seed, dim) >> np.uint64(63)
     signs = 1.0 - 2.0 * bits.astype(np.float64)
     return RotationSpec(dim, seed, signs)

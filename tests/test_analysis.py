@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from mxemu.analysis import (
 )
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import max_normal
-from mxemu.quantizer import (dequantize, group_view, quantize, quantize_with_clamps, row_blocks,
-                             validate_range)
+from mxemu.quantizer import dequantize, group_view, quantize, row_blocks, validate_range
 
-from conftest import shifted_gaussian
+from conftest import blocks_in_layout, shifted_gaussian
 
 
 # ---- group_stats -----------------------------------------------------------
@@ -189,6 +189,19 @@ def test_group_stats_bits_match_the_serial_walk_over_many_batches(monkeypatch, e
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("shape,group_size", [((16, 256), 32), ((512,), None)])
+def test_a_one_block_group_stats_starts_no_thread(monkeypatch, shape, group_size):
+    monkeypatch.setattr(quantizer, "BLOCK_ELEMS", 4096)  # the whole input is one block
+    x = _stats_input(shape, -1)
+    assert len(list(row_blocks(group_view(x, group_size)[1]))) == 1
+
+    def no_start(thread):
+        raise AssertionError("a one-block walk started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    _assert_serial_bits(x, group_size, -1)
+
+
 def test_group_stats_raise_under_the_caller_errstate():
     x = np.full((4, 64), 1e308)  # each group's sum overflows
     for walk in (group_stats, _serial_group_stats):
@@ -252,6 +265,12 @@ def test_mse_shape_mismatch():
         mse(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 8))])
+def test_mse_of_nothing_is_a_data_error(empty):
+    with pytest.raises(DataError, match="mse: empty input"):
+        mse(empty, empty)
+
+
 def test_asym_fp_beats_sym_fp_on_shifted_groups(rng):
     x = shifted_gaussian(rng, 128, 32).ravel()
     e_sym = mse(x, quantize_dequantize(x, config("fp4_e2m1", "fp8e5m2", 32)))
@@ -312,11 +331,9 @@ def _independent_decomposition(x, cfg):
 def _check_decomposition(x, cfg):
     rep = error_decomposition(x, cfg)
     mask, clamp_g, round_g = _independent_decomposition(x, cfg)
-    q, clamped = quantize_with_clamps(x, cfg)
-    ref = quantize(x, cfg)
-    for got, want in ((q.codes, ref.codes), (q.scales, ref.scales)):
-        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
-    assert q.tensor_scale == ref.tensor_scale
+    values, clamped = blocks_in_layout(x, cfg)
+    want = dequantize(quantize(x, cfg))
+    assert values.shape == want.shape and values.tobytes() == want.tobytes()
     assert clamped.shape == x.shape
     np.testing.assert_array_equal(group_view(clamped, cfg.group_size, cfg.axis)[1], mask)
     np.testing.assert_array_equal(rep.clamp_sq_per_group, clamp_g)
@@ -356,7 +373,7 @@ def test_clamp_boundary_is_max_normal_times_scale():
     above = np.nextafter(6.0, np.inf)
     x = np.array([[-6.0, 1.5], [-above, 1.5]])
     cfg = config("fp4_e2m1_asym", "pot_floor", 2)
-    q, clamped = quantize_with_clamps(x, cfg)
+    q, clamped = quantize(x, cfg), blocks_in_layout(x, cfg)[1]
     np.testing.assert_array_equal(q.scales, [[[0.25, 1.0]], [[0.25, 1.0]]])
     np.testing.assert_array_equal(clamped, [[False, False], [True, False]])
     rep = error_decomposition(x, cfg)
@@ -369,7 +386,7 @@ def test_zero_point_clamp_boundary_is_the_top_code():
     # both rows get scale 0.25; the second has zero point 2, so 3.375 -> 13.5 + 2 -> 16
     x = np.array([[0.0, 3.75], [-0.375, 3.375]])
     cfg = config("int4_asym", "pot_floor", "row")
-    q, clamped = quantize_with_clamps(x, cfg)
+    q, clamped = quantize(x, cfg), blocks_in_layout(x, cfg)[1]
     np.testing.assert_array_equal(q.scales, [[[0.25, 0.0]], [[0.25, 2.0]]])
     np.testing.assert_array_equal(q.codes, [[0, 15], [0, 15]])
     np.testing.assert_array_equal(clamped, [[False, False], [False, True]])

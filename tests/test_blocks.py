@@ -14,8 +14,10 @@ from mxemu import quantizer
 from mxemu.analysis import error_decomposition, group_stats
 from mxemu.errors import DataError
 from mxemu.lloydmax import LloydConfig, reference_quantize
-from mxemu.quantizer import quantize_with_clamps, row_blocks
+from mxemu.quantizer import quantize_blocks, row_blocks
 from mxemu.rotation import make_rotation, rotate
+
+from conftest import blocks_in_layout
 
 # every layout below has 10 rows of 64 along its grouping axis
 LAYOUTS = {"last": ((10, 64), -1), "first": ((64, 10), 0), "middle": ((5, 64, 2), 1)}
@@ -48,10 +50,11 @@ def _input(layout):
 def _outputs(x, axis, name, scale, gs):
     cfg = config(name, scale, gs, axis)
     q = quantize(x, cfg)
-    qc, clamped = quantize_with_clamps(x, cfg)
+    values, clamped = blocks_in_layout(x, cfg)
+    assert values.shape == x.shape and values.tobytes() == dequantize(q).tobytes()
     stats = group_stats(x, gs if gs != "row" else None, axis)
     rep = error_decomposition(x, cfg)
-    return [q.codes, q.scales, np.float64(q.tensor_scale or 0.0), qc.codes, qc.scales,
+    return [q.codes, q.scales, np.float64(q.tensor_scale or 0.0), values,
             clamped, dequantize(q), rotate(x, make_rotation(64, 3), axis),
             rotate(x, make_rotation(64, 3), axis, transpose=True), stats.mean,
             stats.kurtosis, rep.clamp_sq_per_group, rep.round_sq_per_group,
@@ -98,7 +101,7 @@ def test_first_bad_value_is_reported_at_its_flat_index(monkeypatch, layout, flat
     x.reshape(-1)[-1] = np.nan  # a later bad value is not the one reported
     cfg = config("fp4_e2m1_asym", "nvfp4_double", 16, axis)
     match = f"non-finite input value at flat index {flat_index}$"
-    for call in (lambda: quantize(x, cfg), lambda: quantize_with_clamps(x, cfg),
+    for call in (lambda: quantize(x, cfg), lambda: next(quantize_blocks(x, cfg)),
                  lambda: group_stats(x, 16, axis), lambda: error_decomposition(x, cfg)):
         with pytest.raises(DataError, match=match):
             call()
@@ -113,7 +116,7 @@ def test_a_scale_overflow_in_a_later_block_raises_the_same_error(monkeypatch, si
     x, axis = _input("last")
     x[-1, :2] = [-1.7e308, 1.7e308]  # overflows binary32 in the last row only
     cfg = config(name, scale, 32, axis)
-    for call in (quantize, quantize_with_clamps, error_decomposition):
+    for call in (quantize, blocks_in_layout, error_decomposition):
         with pytest.raises(DataError, match=f"^{what} overflows binary32$"):
             call(x, cfg)
 

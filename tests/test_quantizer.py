@@ -11,7 +11,7 @@ from mxemu import config, dequantize, quantize, quantize_dequantize
 from mxemu.analysis import error_decomposition, group_stats
 from mxemu.errors import ConfigError, DataError
 from mxemu.formats import ELEMENT_FORMAT_NAMES, ElementFormat, get_format, max_normal
-from mxemu.quantizer import QuantConfig, QuantizedTensor, quantize_with_clamps
+from mxemu.quantizer import QuantConfig, QuantizedTensor
 from mxemu.rotation import make_rotation, rotate
 from mxemu.scaling import (
     SCALE_MODES,
@@ -22,7 +22,7 @@ from mxemu.scaling import (
     pot_round_scale,
 )
 
-from conftest import shifted_gaussian
+from conftest import blocks_in_layout, shifted_gaussian
 
 FP4 = get_format("fp4_e2m1")
 
@@ -222,14 +222,16 @@ def test_idempotence_nvfp4(rng):
 @pytest.mark.parametrize("name, codes", [("fp4_e2m1_asym", [7] * 8 + [15] * 8),
                                          ("fp4_e2m1", [5] * 8 + [15] * 8)])
 def test_underflowing_applied_scale_divides_by_each_factor(name, codes):
-    x = np.r_[np.full(8, 5e-324), np.full(8, -1e-323)]
+    x, cfg = np.r_[np.full(8, 5e-324), np.full(8, -1e-323)], config(name, "nvfp4_double", 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q, clamped = quantize_with_clamps(x, config(name, "nvfp4_double", 16))
+        q = quantize(x, cfg)
+        values, clamped = blocks_in_layout(x, cfg)
     assert not (q.scales * q.tensor_scale).any()  # group scale x tensor scale is 0.0
     assert q.codes.tolist() == codes
     assert not clamped.any()
     np.testing.assert_array_equal(dequantize(q), x)
+    np.testing.assert_array_equal(values, x)
 
 
 def test_idempotence_zero_point(rng):
@@ -381,6 +383,27 @@ def test_quantized_tensor_shape_roundtrip(rng):
                      16 if x.shape[axis] % 16 == 0 else "row", axis=axis)
         y = quantize_dequantize(x, cfg)
         assert y.shape == x.shape
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: group_stats(x, 4.0),
+    lambda x: group_stats(x, "4"),
+    lambda x: quantize(x, config("fp4_e2m1", group_size=True)),
+    lambda x: quantize(x, QuantConfig(get_format("fp4_e2m1"), group_size=np.float64(4))),
+    lambda x: make_rotation(True, 0),
+    lambda x: make_rotation(4.0, 0),
+    lambda x: make_rotation(np.bool_(True), 0),
+], ids=["float", "str", "true", "numpy_float", "rotation_true", "rotation_float",
+        "rotation_numpy_bool"])
+def test_a_size_that_is_not_an_integer_is_a_config_error(call):
+    with pytest.raises(ConfigError, match="must be (a positive|an) integer"):
+        call(np.ones((2, 8)))
+
+
+def test_numpy_integer_sizes_are_accepted():
+    x = np.arange(16.0).reshape(2, 8)
+    assert group_stats(x, np.int64(4)).mean.tolist() == group_stats(x, 4).mean.tolist()
+    assert make_rotation(np.int64(8), 0).dim == 8
 
 
 @pytest.mark.parametrize("axis", [2, -3, 2**31, 2**40, -2**40])
