@@ -178,18 +178,20 @@ class ErrorReport:
     def fold(cls, blocks, count: int) -> ErrorReport:
         """Report of count squared errors, given as (sq, clamped) blocks of
         whole groups along the last axis in ascending group order; clamped
-        elements count as clamp error and all others as round error.
+        elements count as clamp error and all others as round error. clamped
+        is a mask of sq's shape, or a scalar that holds for every element.
 
         Per-group sums fold left-to-right over elements; group subtotals
         of all blocks then combine in one fold, in ascending group order;
         mse is (clamp + round) / count, making clamp_sq_error +
         round_sq_error == mse * count an identity.
         """
-        sums = [(_seq_sum(np.where(clamped, sq, 0.0)).ravel(),
-                 _seq_sum(np.where(clamped, 0.0, sq)).ravel()) for sq, clamped in blocks]
+        sums = [(fold_groups(np.add, np.where(clamped, sq, 0.0)).ravel(),
+                 fold_groups(np.add, np.where(clamped, 0.0, sq)).ravel())
+                for sq, clamped in blocks]
         clamp_g, round_g = (np.concatenate(side) for side in zip(*sums))
-        clamp_total = float(_seq_sum(clamp_g))
-        round_total = float(_seq_sum(round_g))
+        clamp_total = float(fold_groups(np.add, clamp_g))
+        round_total = float(fold_groups(np.add, round_g))
         total = clamp_total + round_total
         return cls(total / count, clamp_total, round_total, clamp_g, round_g)
 
@@ -199,11 +201,6 @@ class ErrorReport:
             "clamp_sq_error": self.clamp_sq_error,
             "round_sq_error": self.round_sq_error,
         }
-
-
-def _seq_sum(a: np.ndarray) -> np.ndarray:
-    """Left-to-right fold along the last axis (running-sum semantics)."""
-    return fold_groups(np.add, a)
 
 
 def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:

@@ -26,12 +26,13 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   terms fits in p bits: each group's partials, and each running sum of the
   group partials too. With min q_a + min q_b >= -1074 (float64) or -149
   (float32), finite slices and no overflow, each is exact, so any summation
-  order gives the same value. The fold walks the groups once, keeping the
+  order gives the same value. The fold walks the leading groups, keeping the
   per-row maxima of amax and minima of q for da and the per-column ones for
   db, which are O(M + N), and extends the prefix while the bound holds for
-  all of its columns. One product over the prefix then stands in for its
-  groups. Only the sign of a zero can differ. An exact sum of two values is
-  -0.0 only when both are -0.0 (x + -x is +0.0), so a zero entry of the
+  all of its columns; the group that ends the prefix is visited again, by
+  the test of the next item. One product over the prefix then stands in for
+  its groups. Only the sign of a zero can differ. An exact sum of two values
+  is -0.0 only when both are -0.0 (x + -x is +0.0), so a zero entry of the
   ordered fold is -0.0 exactly when every one of its terms is, whether they
   lie in one group or span many. The entries where the product is zero are
   set from their terms.
@@ -53,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, group_view, quantize
+from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
 
 __all__ = ["AccumSpec", "dot", "matmul"]
 
@@ -75,16 +76,19 @@ class AccumSpec:
             raise ConfigError(f"unknown accumulator width {self.accum!r}")
 
 
-def _check_operands(op: str, cfg_a: QuantConfig, cfg_b: QuantConfig, gs_a: int, gs_b: int):
-    """Raise ConfigError for a zero-point operand or unequal group sizes."""
+def _group_size(op: str, cfg_a: QuantConfig, cfg_b: QuantConfig, k: int) -> int:
+    """The group size both operands share along an inner extent k, a whole
+    row being k; ConfigError for a zero-point operand or unequal sizes."""
     for side, cfg in (("lhs", cfg_a), ("rhs", cfg_b)):
         if cfg.uses_zero_point:
             raise ConfigError(
                 f"{side}: zero-point integer operands are unsupported in the emulated "
                 "dot; dequantize first and use a floating-point matmul"
             )
+    gs_a, gs_b = (k if cfg.group_size is None else cfg.group_size for cfg in (cfg_a, cfg_b))
     if gs_a != gs_b:
         raise ConfigError(f"{op}: group size mismatch {gs_a} vs {gs_b}")
+    return gs_a
 
 
 # exponent given to a zero element: it never limits the bound
@@ -133,17 +137,16 @@ def _joined(run, stats):
     return np.maximum(run[0], stats[0]), np.minimum(run[1], stats[1])
 
 
-def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype):
-    """Length k0 of the longest run of leading groups whose whole sum is
-    exact in dtype, and the line stats of the group at k0 (None at the end)."""
+def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> int:
+    """Length of the longest run of leading groups whose whole sum is exact in dtype."""
     run = None
     for k0 in range(0, da.shape[1], gs):
         stats = _line_stats(da[:, k0:k0 + gs], 1), _line_stats(db[k0:k0 + gs], 0)
         joined = stats if run is None else (_joined(run[0], stats[0]), _joined(run[1], stats[1]))
         if not _sum_is_exact(k0 + gs, *joined, dtype):
-            return k0, stats
+            return k0
         run = joined
-    return da.shape[1], None
+    return da.shape[1]
 
 
 def _set_zero_signs(part: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> None:
@@ -172,16 +175,14 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec) -> np.ndarra
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
     wide = np.empty(shape)  # reused: a fresh BLAS output per group costs page faults
-    k0, stats = _exact_prefix(da, db, gs, dtype)
+    k0 = _exact_prefix(da, db, gs, dtype)
     if k0:
         sa, sb = da[:, :k0], db[:k0]
         _set_zero_signs(np.matmul(sa, sb, out=wide), sa, sb)
         np.copyto(acc, wide)  # an exact float64 sum casts to dtype without rounding
     for g0 in range(k0, da.shape[1], gs):
         sa, sb = da[:, g0:g0 + gs], db[g0:g0 + gs]
-        if g0 > k0:
-            stats = _line_stats(sa, 1), _line_stats(sb, 0)
-        if _sum_is_exact(gs, *stats, dtype):
+        if _sum_is_exact(gs, _line_stats(sa, 1), _line_stats(sb, 0), dtype):
             src = np.matmul(sa, sb, out=wide)
             _set_zero_signs(src, sa, sb)
         else:
@@ -205,9 +206,8 @@ def dot(a: QuantizedTensor, b: QuantizedTensor, spec: AccumSpec = AccumSpec()) -
         raise ConfigError("dot expects 1-D quantized tensors")
     if a.shape != b.shape:
         raise ConfigError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
-    gs_a, gs_b = (group_view(q.codes, q.config.group_size)[2] for q in (a, b))
-    _check_operands("dot", a.config, b.config, gs_a, gs_b)
-    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs_a, spec)[0, 0])
+    gs = _group_size("dot", a.config, b.config, a.shape[0])
+    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs, spec)[0, 0])
 
 
 def matmul(
@@ -224,10 +224,8 @@ def matmul(
         raise ConfigError("matmul expects 2-D matrices")
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    gs_a = group_view(a, cfg_a.group_size)[2]
-    gs_b = group_view(b, cfg_b.group_size, 0)[2]
-    _check_operands("matmul", cfg_a, cfg_b, gs_a, gs_b)
+    gs = _group_size("matmul", cfg_a, cfg_b, a.shape[1])
     da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
     db = dequantize(quantize(b, replace(cfg_b, axis=0)))
-    return _fold(da, db, gs_a, spec)
+    return _fold(da, db, gs, spec)
 

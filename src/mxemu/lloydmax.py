@@ -19,13 +19,14 @@ fresh draw than those fitted with 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ErrorReport, GroupStats, group_stats
+from .analysis import ErrorReport, GroupStats, group_stats, mse
 from .errors import ConfigError, DataError
-from .quantizer import config, dequantize, group_view, quantize
+from .formats import grid
+from .quantizer import config, group_view, quantize
 
 __all__ = [
     "LloydConfig",
@@ -82,14 +83,14 @@ class Codebook:
 def asym_grid_codebook(values) -> Codebook:
     """Codebook of the AMXFP4 grid (fp4_e2m1_asym, fp8e5m2 scales) of the values.
 
-    Levels are the distinct values that the 16 FP4 codes dequantize to under
-    the scales quantize stores for the pool as one group: negative
-    magnitudes times the negative scale, zero, positive magnitudes times the
-    positive scale.
+    Levels are the FP4 grid under the scales quantize stores for the pool as
+    one group: negative grid values times the negative scale, zero, positive
+    ones times the positive scale.
     """
-    q = quantize(np.asarray(values, dtype=float).ravel(), config("fp4_e2m1_asym", "fp8e5m2"))
-    every_code = replace(q, shape=(16,), codes=np.arange(16, dtype=np.uint8))
-    return Codebook(np.unique(dequantize(every_code)) + 0.0)  # code 0x8's -0.0 becomes 0.0
+    cfg = config("fp4_e2m1_asym", "fp8e5m2")
+    pos, neg = quantize(np.asarray(values, dtype=float).ravel(), cfg).scales[0]
+    g = grid(cfg.fmt)  # ascending, with one +0.0: the levels are strictly increasing
+    return Codebook(np.where(g < 0, g * neg, g * pos))
 
 
 def _nearest(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -170,10 +171,6 @@ def _cells(s: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], inner, [s.size]])
 
 
-def _pool_mse(s: np.ndarray, levels: np.ndarray, edges: np.ndarray) -> float:
-    return float(np.mean((s - np.repeat(levels, np.diff(edges))) ** 2))
-
-
 def _lloyd(s: np.ndarray, levels: np.ndarray, n_iters: int):
     """Lloyd iterations on the sorted pool s from the given levels.
 
@@ -188,7 +185,7 @@ def _lloyd(s: np.ndarray, levels: np.ndarray, n_iters: int):
         full = counts > 0
         levels[full] = np.add.reduceat(s, edges[:-1][full]) / counts[full]
         edges = _cells(s, levels)
-        trace.append(_pool_mse(s, levels, edges))
+        trace.append(mse(s, np.repeat(levels, np.diff(edges))))
     return levels, trace
 
 
@@ -251,6 +248,6 @@ def reference_quantize(
         start = asym_grid_codebook(pool) if init == "format_grid" else None
         out_groups[sel] = lloyd_fit(pool, cfg, init=start)[0].quantize_values(pool)
     sq = (flat_groups - out_groups) ** 2
-    report = ErrorReport.fold([(sq, np.zeros(sq.shape, dtype=bool))], sq.size)
+    report = ErrorReport.fold([(sq, False)], sq.size)
     out = out_groups.reshape(moved.shape)
     return np.moveaxis(out, -1, axis), report

@@ -83,6 +83,8 @@ class QuantConfig:
         if self.fmt not in _ELEMENT_FORMATS:  # so every element code fits a uint8
             raise ConfigError(f"{self.fmt.name} is not an element format; element formats: "
                               f"{', '.join(formats.ELEMENT_FORMAT_NAMES)}")
+        if self.group_size is not None:
+            _check_group_size(self.group_size)
         sizes = scaling.NVFP4_GROUP_SIZES
         if self.scale_mode.kind == "double" and self.group_size not in sizes:
             raise ConfigError(f"scale mode {self.scale_mode.name} requires group size in {sizes}")
@@ -151,6 +153,13 @@ def validate_range(x):
     return arr, lo, hi
 
 
+def _check_group_size(gs):
+    """gs, or ConfigError unless it is a positive integer (a numpy one too, not a bool)."""
+    if isinstance(gs, bool) or not isinstance(gs, (int, np.integer)) or gs <= 0:
+        raise ConfigError(f"group size must be a positive integer, got {gs!r}")
+    return gs
+
+
 def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
     """View arr with axis moved last and split into groups.
 
@@ -163,9 +172,7 @@ def group_view(arr: np.ndarray, group_size: int | None, axis: int = -1):
     except (np.exceptions.AxisError, OverflowError):  # OverflowError: past a C int
         raise ConfigError(f"axis {axis} out of range for shape {arr.shape}") from None
     n = moved.shape[-1]
-    gs = n if group_size is None else group_size
-    if isinstance(gs, bool) or not isinstance(gs, (int, np.integer)) or gs <= 0:
-        raise ConfigError(f"group size must be a positive integer, got {gs!r}")
+    gs = _check_group_size(n if group_size is None else group_size)
     if n % gs != 0:
         raise ConfigError(
             f"group size {gs} does not divide extent {n} along axis {axis}"

@@ -152,7 +152,7 @@ def _check_scales(path, rec, cfg) -> None:
         raise TensorFileError(f"{path}: a symmetric group's two stored scales differ")
     try:
         pbits, nbits = _audit_words(rec, cfg)
-    except DataError as exc:
+    except (DataError, TensorFileError) as exc:
         raise TensorFileError(f"{path}: {exc}") from None
     if not (np.array_equal(pbits, rec["pbits"]) and np.array_equal(nbits, rec["nbits"])):
         raise TensorFileError(f"{path}: a stored scale differs from its audit word")

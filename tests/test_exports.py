@@ -55,6 +55,45 @@ def test_private_use_check_sees_each_form():
     assert _private_uses(ast.parse(src)) == ["_grouped", "_tables", "analysis._seq_sum", "g._fold"]
 
 
+def _dead_names(tree):
+    """Names that a module imports and never reads, unless its __all__ lists
+    them, and its module-level private functions, classes and constants
+    that it never reads."""
+    exported, bound = set(), []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if "__all__" in names:
+            exported = set(ast.literal_eval(node.value))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        bound += [n for n in names if n.startswith("_") and not n.endswith("__")]
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", sorted(set(Path(mxemu.__file__).parent.glob("*.py"))
+                                        - {Path(mxemu.__file__)}), ids=lambda p: p.name)
+def test_no_module_keeps_an_unused_import_or_private_name(path):
+    assert _dead_names(ast.parse(path.read_text())) == []
+
+
+def test_dead_name_check_sees_each_form():
+    src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+           "from dataclasses import dataclass, replace\nfrom .quantizer import group_view\n"
+           "__all__ = ['group_view']\n_USED = 1\n_UNUSED: int = 2\n"
+           "def _helper():\n    from itertools import chain\n    return np.ones(_USED)\n"
+           "@dataclass\nclass _Dead:\n    pass\ndef _seq_sum(a):\n    return _helper(a)\n")
+    assert _dead_names(ast.parse(src)) == ["_UNUSED", "_Dead", "_seq_sum", "os", "replace",
+                                           "chain"]
+
+
 def _top_level_imports(tree):
     """The top-level names of the modules that a module imports absolutely."""
     names = set()

@@ -88,6 +88,29 @@ def test_matmul_rejects_zero_point_before_quantizing(monkeypatch):
             matmul(np.ones((2, 32)), np.ones((32, 2)), cfg_a, cfg_b)
 
 
+def test_matmul_rejects_unequal_group_sizes_before_quantizing(monkeypatch):
+    def no_quantize(*args):
+        raise AssertionError("an operand of unequal group size was quantized")
+
+    monkeypatch.setattr(gemm, "quantize", no_quantize)
+    for gs_a, gs_b in ((32, 16), (None, 32), (16, None)):
+        sizes = f"{gs_a or 64} vs {gs_b or 64}"
+        with pytest.raises(ConfigError, match=f"matmul: group size mismatch {sizes}"):
+            matmul(np.ones((2, 64)), np.ones((64, 2)), config("fp4_e2m1", "pot_floor", gs_a),
+                   config("fp4_e2m1", "pot_floor", gs_b))
+
+
+def test_a_whole_row_operand_pairs_with_a_group_size_of_k(rng):
+    a, b = rng.normal(0.3, 1, (8, 64)), rng.normal(-0.2, 1, (64, 6))
+    row, k = (config("fp4_e2m1_asym", "fp8e5m2", gs) for gs in (None, 64))
+    want = matmul(a, b, row, row)
+    qa, qb = quantize(a[0], row), quantize(b[:, 0], row)
+    for cfg_a, cfg_b in ((row, k), (k, row)):
+        assert matmul(a, b, cfg_a, cfg_b).tobytes() == want.tobytes()
+        got = dot(quantize(a[0], cfg_a), quantize(b[:, 0], cfg_b))
+        assert got.hex() == dot(qa, qb).hex() == want[0, 0].hex()
+
+
 def test_symmetric_int_dot_supported(rng):
     cfg = config("int8", "pot_floor", 16)
     qa = quantize(rng.normal(0, 1, 32), cfg)
@@ -340,7 +363,7 @@ def exact_prefix(a, b, cfg_a, cfg_b, accum):
     """Length of the exact prefix that the fold of matmul(a, b) runs as one product."""
     da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
     db = dequantize(quantize(b, replace(cfg_b, axis=0)))
-    return gemm._exact_prefix(da, db, cfg_a.group_size, np.dtype(accum))[0]
+    return gemm._exact_prefix(da, db, cfg_a.group_size, np.dtype(accum))
 
 
 MXFP4 = config("fp4_e2m1", "pot_floor", 32)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mxemu import config, quantize_dequantize
+from mxemu import config, dequantize, quantize, quantize_dequantize
 from mxemu.analysis import GroupStats, group_stats, mse
 from mxemu.errors import ConfigError, DataError
 from mxemu.lloydmax import (
@@ -73,6 +75,25 @@ def test_single_value_pool_gets_one_level(v):
     cb, trace = lloyd_fit([v] * 5, LloydConfig(n_iters=5))
     assert v <= cb.levels[0] and cb.levels[-1] <= v
     assert trace[-1] == 0.0
+
+
+def every_code_dequantized(values):
+    """The AMXFP4 codebook of a pool built the long way: the scales quantize
+    stores for it as one group, applied by dequantize to all 16 FP4 codes."""
+    q = quantize(np.asarray(values, dtype=float).ravel(), config("fp4_e2m1_asym", "fp8e5m2"))
+    every_code = replace(q, shape=(16,), codes=np.arange(16, dtype=np.uint8))
+    return np.unique(dequantize(every_code)) + 0.0  # code 0x8's -0.0 becomes 0.0
+
+
+@pytest.mark.parametrize("kind", ["mixed", "positive", "negative", "zero", "three"])
+def test_asym_grid_codebook_is_every_code_dequantized(rng, kind):
+    pool = {"mixed": lambda: rng.normal(0.3, 1, (8, 32)),
+            "positive": lambda: np.abs(rng.normal(0, 2, 200)),
+            "negative": lambda: -np.abs(rng.normal(0, 0.01, 200)),
+            "zero": lambda: np.zeros(40),
+            "three": lambda: np.array([-1.5, 0.25, 3.0])}[kind]()
+    levels = asym_grid_codebook(pool).levels
+    assert levels.size == 15 and levels.tobytes() == every_code_dequantized(pool).tobytes()
 
 
 def test_format_grid_init_bounds_format_mse(rng):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -110,6 +111,21 @@ def test_double_scale_group_size_is_checked_when_the_config_is_built():
         config("fp4_e2m1", "nvfp4_double", 64)
     with pytest.raises(ConfigError, match="requires group size in"):
         replace(config("fp4_e2m1", "nvfp4_double", 16), group_size=None)
+
+
+@pytest.mark.parametrize("gs", [True, False, -3, 0, 4.0, np.float64(4), np.int64(0)], ids=repr)
+@pytest.mark.parametrize("build", [lambda gs: config("fp4_e2m1", group_size=gs),
+                                   lambda gs: QuantConfig(get_format("fp4_e2m1"), gs)],
+                         ids=["config", "QuantConfig"])
+def test_a_bad_group_size_is_rejected_when_the_config_is_built(build, gs):
+    with pytest.raises(ConfigError, match=re.escape(f"must be a positive integer, got {gs!r}")):
+        build(gs)
+
+
+def test_numpy_integer_group_sizes_build_a_config():
+    cfg = config("fp4_e2m1", "nvfp4_double", np.int64(16))
+    assert cfg.label() == "fp4_e2m1/nvfp4_double/gs=16"
+    assert QuantConfig(get_format("fp4_e2m1"), np.uint8(8)).group_size == 8
 
 
 @pytest.mark.parametrize("fmt", [get_format("fp16"), ElementFormat("fp5_e2m2", "float", 2, 2, 5)],

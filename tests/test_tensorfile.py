@@ -89,6 +89,18 @@ def test_mxq1_rejects_zero_points_outside_int32(tmp_path, rng):
         write_quantized(tmp_path / "x.mxq", q)
 
 
+def test_mxq1_reader_names_the_file_of_a_zero_point_outside_int32(tmp_path, rng):
+    q = quantize(rng.normal(0, 1, (4, 64)), config("int4_asym", "pot_floor", 32))
+    path = tmp_path / "x.mxq"
+    write_quantized(path, q)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, len(data) - 16, 2.0**40)  # the last record's zero point
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError) as err:
+        read_quantized(path)
+    assert str(err.value) == f"{path}: zero point outside the signed 32-bit range"
+
+
 # SHA-256 of files written by the per-group struct writer this format started with;
 # int4_asym's is of a file whose scale audit words are binary32, the rest unchanged
 MXQ1_SHA256 = {
