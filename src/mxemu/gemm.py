@@ -10,7 +10,8 @@ a group, an output entry's partial is its first term (not zero, so a sum of
 combine in ascending order. Each float64 product and every partial round to
 the accumulator dtype, so under float64 this is dequantize-multiply-sum in
 that order. Working memory is O(M*N + (M + N)*gs + K) beyond the dequantized
-operands; the K is one entry's terms, gathered to set the sign of a zero.
+operands: five (M, N) buffers, and the gathered terms of single entries, at
+most min(M*N, 2**17) at a time, or one entry's K where K is longer.
 
 The fold takes the cheapest path that provably gives the ordered fold's bits:
 
@@ -38,9 +39,31 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   set from their terms.
 - Past the prefix each group is tested on its own, with k = gs, and takes
   one BLAS product where its sum is exact.
+- Where that test fails, a bound per entry. Let u(x) = 2**-q(x), with q(x)
+  the exponent of the lowest set bit of x (u is 0 for a zero, inf past
+  binary64), and take two float64 products over the group's slices,
+  R = |sa| @ |sb| and E = u(sa) @ u(sb). Entry (i, j) is proven when
+
+      R[i,j] <= max(dtype),   R[i,j] * E[i,j] < 2**(p - 1),   E[i,j] <= 2**-least.
+
+  E sums nonnegative terms, so even rounded it is at least its largest term
+  2**-Q, with Q the least q_a + q_b over the entry's terms; every term, and
+  so every partial, is then an integer multiple of 2**Q, Q >= least, below
+  R * E * 2**Q < 2**p * 2**Q in magnitude (the spare factor of 2 covers the
+  rounding of R), and never past max(dtype). Each is exact in dtype, so the
+  group's partial is the entry of one BLAS product. The entries the bound
+  leaves open and the zero sums are folded in order from their gathered
+  terms. The rank-1 loop stays where the product of the slices' widest odd
+  significands, max |a| u(a) times max |b| u(b), reaches 2**(p - 1) (as for
+  nvfp4_double, or fp32 scales under float32), or where more than one
+  entry in 8 stays open, in a first block of rows or in the whole group.
+  After n such groups in a row, the next 4**(n - 1) groups that fail the
+  group test skip the bound.
 - Binary32 arithmetic where the accumulator is float32 and both slices are
   binary32 values: a product of two binary32 values is exact in binary64,
   so the float32 product is the float64 product rounded once to float32.
+  This holds for the entry bound's product, its gathered terms and the
+  rank-1 loop.
 - Otherwise the rank-1 loop over float64 products.
 
 Zero-point integer operands have no sign-selected scale semantics and are
@@ -93,15 +116,17 @@ def _group_size(op: str, cfg_a: QuantConfig, cfg_b: QuantConfig, k: int) -> int:
 
 # exponent given to a zero element: it never limits the bound
 _NO_BITS = 1 << 20
-# terms gathered at once to set the signs of zero entries (1 MB of float64)
+# terms gathered at once to fold single entries (1 MB of float64)
 _ZERO_TERMS = 1 << 17
+# share of a group's entries left unproven above which the rank-1 loop runs
+_DENSE_SHARE = 1 / 8
 # (precision p, least exponent) of each accumulator dtype
 _EXACT = {np.dtype(np.float64): (53, -1074), np.dtype(np.float32): (24, -149)}
 
 
-def _line_stats(s: np.ndarray, axis: int):
-    """Largest |x| and the exponent of the lowest set bit over each row
-    (axis 1) or column (axis 0) of a float64 slice."""
+def _elem_bits(s: np.ndarray):
+    """|x| as int64 bits, and the exponent of each element's lowest set bit
+    (_NO_BITS for a zero), of a float64 slice."""
     mag = s.view(np.int64) & ((1 << 63) - 1)  # the bits of |x| order like |x|
     # |x| = sig * 2**(max(biased, 1) - 1075), with a normal's implicit bit 52
     # in sig. Setting bit 52 keeps sig's lowest set bit (a subnormal's lies
@@ -114,6 +139,13 @@ def _line_stats(s: np.ndarray, axis: int):
     q += np.maximum(mag >> 52, 1)
     q -= 2098
     q[mag == 0] = _NO_BITS
+    return mag, q
+
+
+def _line_stats(elems, axis: int):
+    """Largest |x| and least lowest-set-bit exponent over each row (axis 1)
+    or column (axis 0), from a slice's _elem_bits."""
+    mag, q = elems
     return mag.max(axis).view(np.float64), q.min(axis)
 
 
@@ -141,7 +173,8 @@ def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> i
     """Length of the longest run of leading groups whose whole sum is exact in dtype."""
     run = None
     for k0 in range(0, da.shape[1], gs):
-        stats = _line_stats(da[:, k0:k0 + gs], 1), _line_stats(db[k0:k0 + gs], 0)
+        stats = (_line_stats(_elem_bits(da[:, k0:k0 + gs]), 1),
+                 _line_stats(_elem_bits(db[k0:k0 + gs]), 0))
         joined = stats if run is None else (_joined(run[0], stats[0]), _joined(run[1], stats[1]))
         if not _sum_is_exact(k0 + gs, *joined, dtype):
             return k0
@@ -149,15 +182,65 @@ def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> i
     return da.shape[1]
 
 
-def _set_zero_signs(part: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> None:
-    """Make each zero of the exact part -0.0 iff all of its terms are -0.0."""
-    zi, zj = np.nonzero(part == 0)
-    step = max(1, _ZERO_TERMS // sa.shape[1])
-    for c in range(0, zi.size, step):
-        i, j = zi[c:c + step], zj[c:c + step]
-        terms = sa[i] * sb[:, j].T
-        neg = ((terms == 0) & np.signbit(terms)).all(1)
-        part[i, j] = np.where(neg, -0.0, 0.0)
+def _fold_entries(out: np.ndarray, mask: np.ndarray, sa: np.ndarray, sb: np.ndarray,
+                  dtype: np.dtype, exact: bool = False) -> None:
+    """Set each out[i, j] where mask holds to the left fold in dtype of its
+    terms sa[i, t] * sb[t, j], each rounded to dtype, gathered in chunks.
+    Where every partial of those sums is exact, as the caller asserts with
+    exact, any order of the sum gives the fold's value and signed zero."""
+    idx = np.flatnonzero(mask)
+    step = max(1, min(_ZERO_TERMS, out.size) // sa.shape[1])
+    for c in range(0, idx.size, step):
+        i, j = np.divmod(idx[c:c + step], out.shape[1])
+        terms = (sa[i].T * sb[:, j]).astype(dtype, copy=False)
+        if exact:  # from -0.0, the identity of IEEE addition; numpy's +0.0 loses -0.0 sums
+            part = terms.sum(0, initial=-0.0)
+        else:
+            part = terms[0]
+            for t in terms[1:]:
+                part += t
+        out[i, j] = part
+
+
+def _reciprocal_lowbit(elems) -> np.ndarray:
+    """u = 2**-q of each element of a slice, from its _elem_bits: 0 for a
+    zero, inf past binary64, and 2**-1022 (an upper bound) below that."""
+    mag, q = elems
+    e = np.subtract(1023, q)
+    np.clip(e, 1, 2047, out=e)
+    e <<= 52
+    u = e.view(np.float64)
+    u[mag == 0] = 0.0
+    return u
+
+
+def _unproven_entries(elems_a, elems_b, dtype: np.dtype, wide, bound):
+    """Mask of the entries of a group's product whose exactness in dtype the
+    entry bound leaves open, from the _elem_bits of both slices; None where
+    the dense loop is the cheaper path. wide and bound are (M, N) float64
+    scratch."""
+    p, least = _EXACT[dtype]
+    abs_a, abs_b = elems_a[0].view(np.float64), elems_b[0].view(np.float64)
+    ua, ub = _reciprocal_lowbit(elems_a), _reciprocal_lowbit(elems_b)
+    proven = np.empty(wide.shape, bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # widest odd significands that multiply past the limit mark slices
+        # whose terms fail the bound on their own (nvfp4_double, fp32 scales)
+        if not (abs_a * ua).max() * (abs_b * ub).max() < 2.0 ** (p - 1):
+            return None
+        # a first block of 16 rows, or of a sixteenth of them, finds a group
+        # the bound mostly fails before the rest of it is paid for
+        first = max(16, len(ua) // 16)
+        for rows in slice(0, first), slice(first, None):
+            r, e, ok = bound[rows], wide[rows], proven[rows]
+            np.less_equal(np.matmul(abs_a[rows], abs_b, out=r), np.finfo(dtype).max, out=ok)
+            ok &= np.matmul(ua[rows], ub, out=e) <= np.ldexp(1.0, -least)  # inf for float64
+            r *= e
+            ok &= r < 2.0 ** (p - 1)
+            seen = proven[:rows.stop]
+            if seen.size - np.count_nonzero(seen) > seen.size * _DENSE_SHARE:
+                return None
+    return ~proven
 
 
 def _binary32(sa: np.ndarray, sb: np.ndarray):
@@ -174,24 +257,38 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec) -> np.ndarra
     dtype = np.dtype(spec.accum)
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
-    wide = np.empty(shape)  # reused: a fresh BLAS output per group costs page faults
+    # reused: a fresh BLAS output per group costs page faults
+    wide, bound = np.empty(shape), np.empty(shape)
+    # after n entry proofs in a row end in the dense loop, the next 4**(n - 1)
+    # groups that need the loop skip the proof
+    skip = misses = 0
     k0 = _exact_prefix(da, db, gs, dtype)
     if k0:
         sa, sb = da[:, :k0], db[:k0]
-        _set_zero_signs(np.matmul(sa, sb, out=wide), sa, sb)
+        np.matmul(sa, sb, out=wide)
+        _fold_entries(wide, wide == 0, sa, sb, dtype, exact=True)
         np.copyto(acc, wide)  # an exact float64 sum casts to dtype without rounding
     for g0 in range(k0, da.shape[1], gs):
         sa, sb = da[:, g0:g0 + gs], db[g0:g0 + gs]
-        if _sum_is_exact(gs, _line_stats(sa, 1), _line_stats(sb, 0), dtype):
+        elems_a, elems_b = _elem_bits(sa), _elem_bits(sb)
+        if _sum_is_exact(gs, _line_stats(elems_a, 1), _line_stats(elems_b, 0), dtype):
             src = np.matmul(sa, sb, out=wide)
-            _set_zero_signs(src, sa, sb)
+            _fold_entries(src, src == 0, sa, sb, dtype, exact=True)
         else:
             if dtype == np.float32:
                 sa, sb = _binary32(sa, sb)
-            sb = np.ascontiguousarray(sb)  # the loop reads rows of sb, whatever db's layout
-            src = np.multiply(sa[:, 0, None], sb[0], out=part)
-            for t in range(1, gs):
-                part += np.multiply(sa[:, t, None], sb[t], out=term)
+            if not skip and (unproven := _unproven_entries(elems_a, elems_b, dtype, wide,
+                                                           bound)) is not None:
+                misses = 0
+                src = np.matmul(sa, sb, out=part)
+                unproven |= src == 0
+                _fold_entries(src, unproven, sa, sb, dtype)
+            else:
+                skip, misses = (skip - 1, misses) if skip else (4**misses, misses + 1)
+                sb = np.ascontiguousarray(sb)  # the loop reads rows of sb, whatever db's layout
+                src = np.multiply(sa[:, 0, None], sb[0], out=part)
+                for t in range(1, gs):
+                    part += np.multiply(sa[:, t, None], sb[t], out=term)
         # an exact float64 sum casts to dtype without rounding
         if g0 == 0:
             np.copyto(acc, src)

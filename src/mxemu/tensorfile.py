@@ -170,6 +170,8 @@ def read_quantized(path) -> QuantizedTensor:
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
     if any(d < 1 for d in shape):
         raise TensorFileError(f"{path}: non-positive dimension in {shape}")
+    if gs != -1 and gs < 1:
+        raise TensorFileError(f"{path}: group size field {gs} is not -1 (whole rows) or positive")
     try:
         fmt_name = names[0].decode() + ("_asym" if asym else "")
         cfg = config(fmt_name, names[1].decode(), None if gs == -1 else gs, axis)

@@ -463,6 +463,116 @@ def test_exact_prefix_lengths_of_the_benchmark_products(seed):
     assert exact_prefix(a, b, mxfp8, mxfp8, "float32") == 0
 
 
+def spy(monkeypatch, name):
+    """Record the results of the gemm helper called name, which still runs."""
+    real, results = getattr(gemm, name), []
+
+    def record(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(gemm, name, record)
+    return results
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_entry_paths_of_the_benchmark_products(monkeypatch, seed):
+    # past an empty exact prefix, every MXFP8 float32 group of a benchmark-like
+    # product folds through the entry bound and leaves a few entries to gather.
+    # nvfp4_double's wide significands fail the bound at once: the proof is
+    # tried on groups 0, 2, 7 and 24 of 64, each failure making the run of
+    # groups that go straight to the rank-1 loop four times longer
+    rng = np.random.default_rng(seed)
+    k = 1024
+    a = benchmark_like_activation(rng, 32, k)
+    b = 0.05 * benchmark_like_activation(rng, 32, k).T
+    proofs = spy(monkeypatch, "_unproven_entries")
+    mxfp8 = config("fp8_e4m3", "pot_floor", 32)
+    matmul(a, b, mxfp8, mxfp8, AccumSpec("float32"))
+    assert len(proofs) == k // 32
+    assert all(u is not None and 0 < u.sum() <= u.size / 8 for u in proofs)
+    proofs.clear()
+    nvfp4 = config("fp4_e2m1", "nvfp4_double", 16)
+    matmul(a, b, nvfp4, nvfp4, AccumSpec("float32"))
+    assert [u is None for u in proofs] == [True] * 4
+
+
+def assert_fold_matches_oracle(da, db, gs, accum):
+    out = gemm._fold(da, db, gs, AccumSpec(accum))
+    expect = python_matmul_oracle(da, db, gs, np.dtype(accum).type)
+    bits = f"u{out.itemsize}"
+    np.testing.assert_array_equal(out.view(bits), expect.view(bits))
+    return out
+
+
+@pytest.mark.parametrize("accum, shift", [("float32", 0), ("float32", 150), ("float64", 0)])
+def test_fold_entry_whose_bound_lies_just_past_the_limit(accum, shift):
+    # in units of its lowest bit, entry (0, 0) sums 2**p, 1 and 2, so its bound
+    # (2**p + 3) * 1.5 lies between 2**(p - 1) and 2**(p + 1). Its ordered fold
+    # rounds 2**p + 1 to 2**p first and ends at 2**p + 2, where the exact sum
+    # rounds to 2**p + 4; the other entries are exact, so the group takes the
+    # entry bound. A shift puts the lhs past binary32's range, so that the
+    # group's product runs in float64 and rounds once to float32
+    p = {"float32": 24, "float64": 53}[accum]
+    da = np.zeros((1, 32))
+    da[0, :3] = [2.0 ** (p // 2 + shift), 2.0**shift, 2.0**shift]
+    db = np.ones((32, 9)) * 2.0**-shift
+    db[:3, 0] = [2.0 ** (p - p // 2 - shift), 2.0**-shift, 2.0 ** (1 - shift)]
+    out = assert_fold_matches_oracle(da, db, 32, accum)
+    assert out[0, 0] == 2.0**p + 2 and (out[0, 1:] == 2.0 ** (p // 2) + 2).all()
+
+
+def test_fold_entry_past_binary32_overflow_under_float32():
+    # entry (0, 0) adds 2**128, past binary32, to -2**127: the ordered fold
+    # reaches inf, while the float64 sum is 2**127. Its bound R * E is tiny,
+    # so only R <= max(float32) leaves it open; the other entries are exact
+    da = np.zeros((1, 32))
+    da[0, :2] = [-(2.0**200), 2.0**200]
+    db = np.zeros((32, 9))
+    db[:2] = [[2.0**-200], [2.0**-199]]
+    db[:2, 0] = 2.0**-73, 2.0**-72
+    with np.errstate(over="ignore"):
+        out = assert_fold_matches_oracle(da, db, 32, "float32")
+    assert out[0, 0] == np.inf and (out[0, 1:] == 1.0).all()
+
+
+ENTRY_BOUND_CONFIGS = [("fp8_e4m3", "pot_floor"), ("fp8_e5m2", "pot_floor"),
+                       ("fp4_e2m1_asym", "fp8e5m2"), ("int8", "pot_floor")]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cfg=st.sampled_from(ENTRY_BOUND_CONFIGS),
+    accum=st.sampled_from(["float64", "float32"]),
+    spread=st.integers(0, 30),
+    shift=st.integers(0, 30),
+    col=st.integers(0, 15),
+    wide_row=st.booleans(),
+)
+def test_matmul_entry_bound_against_the_ordered_oracle(seed, cfg, accum, spread, shift, col,
+                                                       wide_row):
+    # a power of two up to 2**-spread on each element of b moves each entry's
+    # bound across 2**(p - 1). Column col (and, if wide_row, a row of a) leads
+    # each group with its largest term, then spreads its other terms over the
+    # format's range, its negative side 2**-shift further down, so that its
+    # partials round inside a group while the other columns' sums can be exact
+    rng = np.random.default_rng(seed)
+
+    def wide():
+        line = rng.normal(0, 1, 64) * 2.0 ** -rng.integers(0, 18, 64)
+        line[line < 0] *= 2.0 ** -shift
+        line[::32] = 8.0
+        return line
+
+    a = rng.normal(0.1, 1, (4, 64))
+    b = rng.normal(0, 1, (64, 16)) * 2.0 ** -rng.integers(0, spread + 1, (64, 16))
+    b[:, col] = wide()
+    if wide_row:
+        a[col % 4] = wide()
+    cfg = config(*cfg, 32)
+    assert_matmul_matches_oracle(a, b, cfg, cfg, accum)
+
+
 @pytest.mark.parametrize("accum", ["float64", "float32"])
 def test_matmul_fold_memory_is_flat_in_k(monkeypatch, accum):
     def fold_peak(k):

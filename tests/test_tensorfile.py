@@ -34,8 +34,8 @@ def test_mxq1_reader_rejects_a_file_that_names_fp16(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("group_size", 24), ("group_size", 0), ("group_size", 16), ("group_count", 7), ("axis", 5),
-     ("axis", 2**40), ("first_dim", 2**62)],
+    [("group_size", 24), ("group_size", 0), ("group_size", -2), ("group_size", 16),
+     ("group_count", 7), ("axis", 5), ("axis", 2**40), ("first_dim", 2**62)],
 )
 def test_mxq1_header_must_fit_the_shape(tmp_path, rng, field, value):
     cfg = config("fp4_e2m1_asym", "fp8e5m2", 32)
@@ -51,7 +51,9 @@ def test_mxq1_header_must_fit_the_shape(tmp_path, rng, field, value):
     assert struct.unpack_from("<q", data, at)[0] == written
     struct.pack_into("<q", data, at, value)
     path.write_bytes(bytes(data))
-    with pytest.raises(TensorFileError):
+    # a size below 1, other than the whole-row -1, is named as the group-size field
+    match = "group size field" if field == "group_size" and value < 1 else None
+    with pytest.raises(TensorFileError, match=match):
         read_quantized(path)
 
 
