@@ -5,10 +5,11 @@ row-major order of the grouped view (quantizer.group_view), so a group's
 index is its position. Kurtosis here is the plain fourth standardized
 moment E[(v-u)^4]/sigma^4 with population variance and no excess
 correction, so any distribution is bounded below by 1 and a Gaussian sits
-at 3; it is NaN for a constant group, whose variance is zero. Quantization
-error decomposes exhaustively into a clamping part (elements whose scaled
-magnitude exceeds the format's max normal, or whose zero-point code
-saturates, as quantizer.quantize_blocks reports them) and a rounding part;
+at 3. It is defined for every finite non-constant group, however small or
+large its values, and NaN for a constant group, whose variance is zero.
+Quantization error decomposes exhaustively into a clamping part (elements
+whose scaled magnitude exceeds the format's max normal, or whose zero-point
+code saturates, as quantizer.quantize_blocks reports them) and a rounding part;
 the report's mse is defined as (clamp + round) / count so the decomposition
 identity is exact in float64. Both walk the grouped view in the blocks of
 quantizer.row_blocks: error_decomposition takes them from quantize_blocks,
@@ -64,23 +65,38 @@ def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     this process may run on, with at most N blocks in flight: working
     memory is O(N x block). One thread computes and writes all groups of a
     block, so the bits do not depend on N. Errors are those of a serial
-    walk: block results are read in block order, under the caller's
-    np.errstate.
+    walk: block results are read in block order, and an underflow follows
+    the caller's np.errstate.
     """
     _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
     mean, kurtosis = np.empty((2, xg.size // gs))
 
     def block_stats(groups, flat):
         # C-ordered blocks of groups: each group sums like a 1-D mean, whatever the axis
-        m = mean[groups] = flat.mean(axis=1)
-        z = flat - m[:, None]
-        sigma = np.sqrt((z**2).mean(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):  # normalize first (scale-invariant)
-            z /= sigma[:, None]
-        kurtosis[groups] = np.where(sigma > 0, (z**4).mean(axis=1), np.nan)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m, sigma, kurt = _moments(flat)
+            # a sigma outside [2**-511, 2**511] lost bits to z**2 or overflowed
+            # (but for a constant group's 0): rerun those groups scaled by the
+            # power of two that puts amax in [0.5, 1)
+            redo = ~((sigma >= 2.0**-511) & (sigma <= 2.0**511))
+            redo[redo] = (flat[redo] != m[redo, None]).any(axis=1)
+            if redo.any():
+                e = np.frexp(np.abs(flat[redo]).max(axis=1))[1]
+                scaled, _, kurt[redo] = _moments(np.ldexp(flat[redo], -e[:, None]))
+                m[redo] = np.ldexp(scaled, e)
+        mean[groups], kurtosis[groups] = m, kurt
 
     _on_threads(block_stats, row_blocks(xg))
     return GroupStats(mean, kurtosis)
+
+
+def _moments(flat):
+    """Mean, sigma and kurtosis (NaN where sigma is 0) of each row of flat."""
+    m = flat.mean(axis=1)
+    z = flat - m[:, None]
+    sigma = np.sqrt((z**2).mean(axis=1))
+    z /= sigma[:, None]  # normalize first (scale-invariant)
+    return m, sigma, np.where(sigma > 0, (z**4).mean(axis=1), np.nan)
 
 
 def _usable_cpus() -> int:

@@ -53,12 +53,11 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   rounding of R), and never past max(dtype). Each is exact in dtype, so the
   group's partial is the entry of one BLAS product. The entries the bound
   leaves open and the zero sums are folded in order from their gathered
-  terms. The rank-1 loop stays where the product of the slices' widest odd
-  significands, max |a| u(a) times max |b| u(b), reaches 2**(p - 1) (as for
-  nvfp4_double, or fp32 scales under float32), or where more than one
-  entry in 8 stays open, in a first block of rows or in the whole group.
-  After n such groups in a row, the next 4**(n - 1) groups that fail the
-  group test skip the bound.
+  terms. Where more than one entry in 8 stays open (as for nvfp4_double,
+  fp32 scales or AMXFP8 under float32), the group runs the rank-1 loop
+  instead. One defence limits what such bounds cost: after n of them in a
+  row, the next 4**(n - 1) groups that fail the group test skip the bound,
+  so a product whose bound always fails tries it on 4 of 64 groups.
 - Binary32 arithmetic where the accumulator is float32 and both slices are
   binary32 values: a product of two binary32 values is exact in binary64,
   so the float32 product is the float64 product rounded once to float32.
@@ -216,31 +215,18 @@ def _reciprocal_lowbit(elems) -> np.ndarray:
 
 def _unproven_entries(elems_a, elems_b, dtype: np.dtype, wide, bound):
     """Mask of the entries of a group's product whose exactness in dtype the
-    entry bound leaves open, from the _elem_bits of both slices; None where
-    the dense loop is the cheaper path. wide and bound are (M, N) float64
-    scratch."""
+    entry bound leaves open, from both slices' _elem_bits; None where more
+    than _DENSE_SHARE of them are open. wide and bound are (M, N) float64 scratch."""
     p, least = _EXACT[dtype]
-    abs_a, abs_b = elems_a[0].view(np.float64), elems_b[0].view(np.float64)
-    ua, ub = _reciprocal_lowbit(elems_a), _reciprocal_lowbit(elems_b)
-    proven = np.empty(wide.shape, bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        # widest odd significands that multiply past the limit mark slices
-        # whose terms fail the bound on their own (nvfp4_double, fp32 scales)
-        if not (abs_a * ua).max() * (abs_b * ub).max() < 2.0 ** (p - 1):
-            return None
-        # a first block of 16 rows, or of a sixteenth of them, finds a group
-        # the bound mostly fails before the rest of it is paid for
-        first = max(16, len(ua) // 16)
-        for rows in slice(0, first), slice(first, None):
-            r, e, ok = bound[rows], wide[rows], proven[rows]
-            np.less_equal(np.matmul(abs_a[rows], abs_b, out=r), np.finfo(dtype).max, out=ok)
-            ok &= np.matmul(ua[rows], ub, out=e) <= np.ldexp(1.0, -least)  # inf for float64
-            r *= e
-            ok &= r < 2.0 ** (p - 1)
-            seen = proven[:rows.stop]
-            if seen.size - np.count_nonzero(seen) > seen.size * _DENSE_SHARE:
-                return None
-    return ~proven
+        np.matmul(elems_a[0].view(np.float64), elems_b[0].view(np.float64), out=bound)
+        np.matmul(_reciprocal_lowbit(elems_a), _reciprocal_lowbit(elems_b), out=wide)
+        proven = bound <= np.finfo(dtype).max
+        proven &= wide <= np.ldexp(1.0, -least)  # inf for float64
+        bound *= wide
+        proven &= bound < 2.0 ** (p - 1)
+    unproven = ~proven
+    return None if np.count_nonzero(unproven) > unproven.size * _DENSE_SHARE else unproven
 
 
 def _binary32(sa: np.ndarray, sb: np.ndarray):

@@ -28,15 +28,13 @@ __all__ = ["RotationSpec", "make_rotation", "rotate", "splitmix64"]
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
     """First n outputs of the splitmix64 stream for the given 64-bit seed."""
-    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
     gamma = np.uint64(0x9E3779B97F4A7C15)
     base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         z = base + np.arange(1, n + 1, dtype=np.uint64) * gamma
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return z & mask
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass(frozen=True)

@@ -92,15 +92,14 @@ def degenerate_scale(mode: ScaleMode, fmt: ElementFormat) -> float:
     """Scale assigned to a group whose relevant amax is zero.
 
     All codes on that side are zero, so the value is observationally inert;
-    it only has to be positive, tiny, and representable. PoT modes use the
-    power of two 2**(-emax_elem - 126), which lies in [2**-141, 2**-128] for
-    every element format, fp32 that value rounded to binary32, and
-    float-encoded modes the smallest positive value of their grid.
+    it only has to be positive, tiny, and representable. Float-encoded modes
+    use the smallest positive value of their grid, and the others the power
+    of two 2**(-emax_elem - 126). That lies in [2**-141, 2**-128] for every
+    element format, so it is also a binary32 subnormal for fp32.
     """
     if mode.kind in ("fp", "double"):
         return formats.min_positive(mode.scale_fmt)
-    tiny = math.ldexp(1.0, -formats.emax_elem(fmt) - 126)
-    return float(binary32_scale(tiny, "fp32 scale")) if mode.kind == "fp32" else tiny
+    return math.ldexp(1.0, -formats.emax_elem(fmt) - 126)
 
 
 def _scale_rule(amax, mode: ScaleMode, fmt: ElementFormat, unit=None):

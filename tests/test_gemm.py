@@ -240,10 +240,26 @@ def test_matmul_memory_stays_below_the_product_tensor(accum):
     assert peak < m * n * k * 8 / 4
 
 
-# SHA-256 of the full output bytes on a fixed input (32x512 @ 512x16).
+# SHA-256 of the full output bytes on a fixed input (32x512 @ 512x16), one
+# case for each path of the fold
 PINNED_MATMUL = {
+    # one product over all of K
     "rotated_amxfp4_f64": "cfb6cb4466d3326b229e2ce0ad46c2ebc8ec4657c3958d0b8a2b17e6c91cfe59",
+    # an exact prefix of 256, then groups that pass the group test
+    "mxfp8_f64_shifted": "09a67ce2efa49a7f8e07acce359e3147cd3afaf432568e21e7fa977e3affdac2",
+    # the entry bound on every group
     "mxfp8_f32": "780747f375fde43793c593d1e3721145706a245ee68b0b243128fbedd5102994",
+    # the entry bound fails, then the backoff and the rank-1 loop
+    "amxfp8_f32": "515b076ee9039fc4642e48b083ce62ae8146ce24fedb819f937eeabd192a581a",
+    "nvfp4_f32": "ba282cf554e103fac75756484637cfa1c3d273f708e5b085095c69e37c7b2d6e",
+    "fp6_fp32_f32": "8084641c479b8c57f7bcece922f7ddf060f235f5067ccbe9625985fa3aed219c",
+}
+PINNED_CONFIGS = {
+    "mxfp8_f64_shifted": (("fp8_e4m3", "pot_floor", 32), "float64"),
+    "mxfp8_f32": (("fp8_e4m3", "pot_floor", 32), "float32"),
+    "amxfp8_f32": (("fp8_e4m3_asym", "fp8e5m2", 32), "float32"),
+    "nvfp4_f32": (("fp4_e2m1", "nvfp4_double", 16), "float32"),
+    "fp6_fp32_f32": (("fp6_e3m2", "fp32", 32), "float32"),
 }
 
 
@@ -256,8 +272,10 @@ def test_matmul_output_bits_pinned(case):
         rot = make_rotation(512, 5)
         out = matmul(rotate(a, rot), rotate(b, rot, axis=0), AMX, AMX)
     else:
-        cfg = config("fp8_e4m3", "pot_floor", 32)
-        out = matmul(a, b, cfg, cfg, AccumSpec("float32"))
+        if case == "mxfp8_f64_shifted":
+            a[:, 256:288] *= 2.0**30  # no sum across group 8 is exact
+        names, accum = PINNED_CONFIGS[case]
+        out = matmul(a, b, config(*names), config(*names), AccumSpec(accum))
     assert out.shape == (32, 16)
     assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_MATMUL[case]
 
@@ -479,9 +497,9 @@ def spy(monkeypatch, name):
 def test_entry_paths_of_the_benchmark_products(monkeypatch, seed):
     # past an empty exact prefix, every MXFP8 float32 group of a benchmark-like
     # product folds through the entry bound and leaves a few entries to gather.
-    # nvfp4_double's wide significands fail the bound at once: the proof is
-    # tried on groups 0, 2, 7 and 24 of 64, each failure making the run of
-    # groups that go straight to the rank-1 loop four times longer
+    # nvfp4_double's wide significands leave most entries of each group open:
+    # the proof is tried on groups 0, 2, 7 and 24 of 64, each failure making
+    # the run of groups that go straight to the rank-1 loop four times longer
     rng = np.random.default_rng(seed)
     k = 1024
     a = benchmark_like_activation(rng, 32, k)
@@ -537,7 +555,8 @@ def test_fold_entry_past_binary32_overflow_under_float32():
 
 
 ENTRY_BOUND_CONFIGS = [("fp8_e4m3", "pot_floor"), ("fp8_e5m2", "pot_floor"),
-                       ("fp4_e2m1_asym", "fp8e5m2"), ("int8", "pot_floor")]
+                       ("fp4_e2m1_asym", "fp8e5m2"), ("int8", "pot_floor"),
+                       ("fp8_e4m3_asym", "fp8e5m2"), ("fp6_e3m2", "fp32")]
 
 
 @given(
