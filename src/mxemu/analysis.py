@@ -66,7 +66,9 @@ def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     memory is O(N x block). One thread computes and writes all groups of a
     block, so the bits do not depend on N. Errors are those of a serial
     walk: block results are read in block order, and an underflow follows
-    the caller's np.errstate.
+    the caller's np.errstate. So under np.errstate(under="raise"), valid
+    groups whose squares underflow, such as values near 1e-300, raise
+    FloatingPointError instead of returning their kurtosis.
     """
     _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
     mean, kurtosis = np.empty((2, xg.size // gs))

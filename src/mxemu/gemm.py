@@ -37,6 +37,20 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   ordered fold is -0.0 exactly when every one of its terms is, whether they
   lie in one group or span many. The entries where the product is zero are
   set from their terms.
+- The same test from the stored scales, over all of K, before matmul and
+  dot dequantize. Each value is x = fl(g*s), or fl(fl(g*s)*t) under
+  nvfp4_double, with g on the element grid, s its side's stored scale and
+  t the tensor scale. Rounding is monotone, so |x| <= fl(fl(max_normal*s)*t).
+  An exact product adds the exponents of the lowest set bits, and a rounded
+  one is a multiple of an ulp above them, so q(x) >= q_grid + q(s) + q(t),
+  with q_grid the least q of a nonzero grid value. A side is left out only
+  where its scale is the degenerate one and it scales no nonzero code,
+  since a tiny side can carry that scale too. The per-line maxima of the
+  |x| bounds and minima of the q bounds over all groups then go to the test
+  with k = K; where it holds, one product covers all of K, and no element
+  is scanned. These bounds are never tighter than the line stats, so the
+  proof is tried only after the first group passes its line-stats test.
+  Where it fails, the walk above finds the prefix.
 - Past the prefix each group is tested on its own, with k = gs, and takes
   one BLAS product where its sum is exact.
 - Where that test fails, a bound per entry. Let u(x) = 2**-q(x), with q(x)
@@ -75,6 +89,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import formats, scaling
 from .errors import ConfigError
 from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
 
@@ -181,6 +196,45 @@ def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> i
     return da.shape[1]
 
 
+def _scale_stats(q: QuantizedTensor, gs: int):
+    """Per-line bounds (amax, q) over all of K of a quantized operand's
+    values, from its stored scales: at least the largest |x| and at most the
+    least lowest-set-bit exponent of each line, as _line_stats gives them.
+    A line is a row of the grouped layout, so a column of a matmul's rhs."""
+    cfg = q.config
+    scales = q.scales.reshape(-1, q.scales.shape[-2], 2)[..., :2 if cfg.asymmetric else 1]
+    low = _elem_bits(formats.grid(cfg.fmt))[1].min() + _elem_bits(scales)[1]
+    with np.errstate(over="ignore"):  # a bound past binary64 fails the test
+        amax = scales * formats.max_normal(cfg.fmt)
+        if q.tensor_scale is not None:
+            amax *= q.tensor_scale
+            low += _elem_bits(np.array([q.tensor_scale]))[1]
+    # a side drops out only where it holds no nonzero value, since a tiny
+    # side's scale can equal the degenerate one
+    idx = np.flatnonzero(scales == scaling.degenerate_scale(cfg.scale_mode, cfg.fmt))
+    if idx.size:
+        group, side = np.divmod(idx, scales.shape[-1])
+        vals = formats.decode(q.codes.reshape(-1, gs)[group], cfg.fmt)
+        # a symmetric side holds every value, an asymmetric one those of its sign
+        held = np.where(side[:, None], vals < 0, vals > 0) if cfg.asymmetric else vals != 0
+        idx = idx[~held.any(1)]
+        amax.put(idx, 0.0)
+        low.put(idx, _NO_BITS)
+    return amax.max((1, 2)), low.min((1, 2))
+
+
+def _scales_prove_k(qa: QuantizedTensor, qb: QuantizedTensor, gs: int, dtype: np.dtype) -> bool:
+    """Whether the stored scales of both operands prove their whole sum exact
+    in dtype. Tried only where the first group's line stats pass their test:
+    the scale bounds are never tighter, so the whole sum would fail too."""
+    first = [dequantize(replace(q, codes=q.codes[..., :gs], scales=q.scales[..., :1, :],
+                                config=replace(q.config, axis=-1))).reshape(-1, gs)
+             for q in (qa, qb)]
+    if not _sum_is_exact(gs, *(_line_stats(_elem_bits(f), 1) for f in first), dtype):
+        return False
+    return _sum_is_exact(qa.codes.shape[-1], _scale_stats(qa, gs), _scale_stats(qb, gs), dtype)
+
+
 def _fold_entries(out: np.ndarray, mask: np.ndarray, sa: np.ndarray, sb: np.ndarray,
                   dtype: np.dtype, exact: bool = False) -> None:
     """Set each out[i, j] where mask holds to the left fold in dtype of its
@@ -191,10 +245,11 @@ def _fold_entries(out: np.ndarray, mask: np.ndarray, sa: np.ndarray, sb: np.ndar
     step = max(1, min(_ZERO_TERMS, out.size) // sa.shape[1])
     for c in range(0, idx.size, step):
         i, j = np.divmod(idx[c:c + step], out.shape[1])
-        terms = (sa[i].T * sb[:, j]).astype(dtype, copy=False)
+        terms = np.multiply(sa[i], sb.T[j])  # one entry's terms to a row
         if exact:  # from -0.0, the identity of IEEE addition; numpy's +0.0 loses -0.0 sums
-            part = terms.sum(0, initial=-0.0)
-        else:
+            part = terms.astype(dtype, copy=False).sum(1, initial=-0.0)
+        else:  # one transposing cast, so that each add reads a row
+            terms = terms.astype(dtype, order="F").T
             part = terms[0]
             for t in terms[1:]:
                 part += t
@@ -238,8 +293,11 @@ def _binary32(sa: np.ndarray, sb: np.ndarray):
     return sa, sb
 
 
-def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec) -> np.ndarray:
-    """Ordered sum of the rank-1 terms da[:, t] x db[t] in the accumulator dtype."""
+def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec,
+          whole: bool = False) -> np.ndarray:
+    """Ordered sum of the rank-1 terms da[:, t] x db[t] in the accumulator dtype.
+    whole asserts that the sum over all of K is exact, as _scales_prove_k
+    proves; otherwise the fold finds its exact prefix from the elements."""
     dtype = np.dtype(spec.accum)
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
@@ -248,7 +306,7 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec) -> np.ndarra
     # after n entry proofs in a row end in the dense loop, the next 4**(n - 1)
     # groups that need the loop skip the proof
     skip = misses = 0
-    k0 = _exact_prefix(da, db, gs, dtype)
+    k0 = da.shape[1] if whole else _exact_prefix(da, db, gs, dtype)
     if k0:
         sa, sb = da[:, :k0], db[:k0]
         np.matmul(sa, sb, out=wide)
@@ -290,7 +348,8 @@ def dot(a: QuantizedTensor, b: QuantizedTensor, spec: AccumSpec = AccumSpec()) -
     if a.shape != b.shape:
         raise ConfigError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
     gs = _group_size("dot", a.config, b.config, a.shape[0])
-    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs, spec)[0, 0])
+    whole = _scales_prove_k(a, b, gs, np.dtype(spec.accum))
+    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs, spec, whole)[0, 0])
 
 
 def matmul(
@@ -308,7 +367,11 @@ def matmul(
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
     gs = _group_size("matmul", cfg_a, cfg_b, a.shape[1])
-    da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
-    db = dequantize(quantize(b, replace(cfg_b, axis=0)))
-    return _fold(da, db, gs, spec)
+    qa, qb = quantize(a, replace(cfg_a, axis=-1)), quantize(b, replace(cfg_b, axis=0))
+    # before the operands are dequantized, so that the bounds' O((M + N) * K / gs)
+    # temporaries never add to the fold's peak; nor do the codes, freed before it
+    whole = _scales_prove_k(qa, qb, gs, np.dtype(spec.accum))
+    da, db = dequantize(qa), dequantize(qb)
+    del qa, qb
+    return _fold(da, db, gs, spec, whole)
 

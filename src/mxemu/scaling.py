@@ -41,7 +41,6 @@ __all__ = [
     "pot_floor_scale",
     "pot_round_scale",
     "fp_scale",
-    "fp32_scale",
     "binary32_scale",
     "group_scales",
     "fold_groups",
@@ -152,15 +151,6 @@ def pot_round_scale(amax, fmt: ElementFormat):
 def fp_scale(amax, fmt: ElementFormat, scale_fmt: ElementFormat):
     """Ideal max-to-max scale amax/max_normal(fmt), encoded on scale_fmt's grid."""
     return _scale_rule(amax, ScaleMode(scale_fmt.name, "fp", scale_fmt), fmt)
-
-
-def fp32_scale(amax, fmt: ElementFormat):
-    """Max-to-max scale amax/max_normal(fmt) rounded to the nearest binary32.
-
-    A scale that underflows binary32 flushes to its least subnormal, 2**-149,
-    and one that overflows it raises DataError.
-    """
-    return _scale_rule(amax, SCALE_MODES["fp32"], fmt)
 
 
 def binary32_scale(ideal, what: str) -> np.ndarray:

@@ -94,6 +94,58 @@ def test_dead_name_check_sees_each_form():
                                            "chain"]
 
 
+def _exported(tree):
+    """The names of a module's __all__, empty where it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _reads(tree):
+    """The names a module reads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _unused_exports(modules, elsewhere):
+    """module.name for each name in the __all__ of a module of modules (file
+    name -> tree) that no other module reads, that the module reads nowhere
+    but where it defines it, that no tree of elsewhere reads, and that
+    __init__.py does not re-export."""
+    reads = {name: _reads(tree) for name, tree in modules.items()}
+    used = set().union(*map(_reads, elsewhere))
+    used |= {alias.asname or alias.name for node in ast.walk(modules["__init__.py"])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = []
+    for name, tree in modules.items():
+        other = set().union(*(r for n, r in reads.items() if n != name))
+        unused += [f"{name[:-3]}.{e}" for e in _exported(tree)
+                   if e not in used | other | reads[name]]
+    return unused
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    src = Path(mxemu.__file__).parent
+    modules = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    bench = Path(__file__).resolve().parents[1] / "mxbench"
+    elsewhere = [ast.parse(path.read_text()) for path in bench.glob("*.py")]
+    assert _unused_exports(modules, elsewhere) == []
+
+
+def test_unused_export_check_sees_each_form():
+    modules = {name: ast.parse(src) for name, src in {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("__all__ = ['exported', 'own', 'imported', 'attribute', 'bench', 'dead']\n"
+                 "def own(): pass\ndef dead(): pass\nx = own()\n"),
+        "b.py": "from . import a\nfrom .a import imported\nimported(a.attribute)\n",
+    }.items()}
+    elsewhere = [ast.parse("from mxemu import scaling\nscaling.bench(1)\n")]
+    assert _unused_exports(modules, elsewhere) == ["a.dead"]
+
+
 def _top_level_imports(tree):
     """The top-level names of the modules that a module imports absolutely."""
     names = set()

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from mxemu import config, dequantize, quantize
 from mxemu.errors import ConfigError
 from mxemu import gemm
+from mxemu.formats import ELEMENT_FORMAT_NAMES
 from mxemu.gemm import AccumSpec, dot, matmul
 from mxemu.rotation import make_rotation, rotate
+from mxemu.scaling import SCALE_MODES, degenerate_scale
 
 
 def python_dot_oracle(da, db, gs):
@@ -513,6 +515,99 @@ def test_entry_paths_of_the_benchmark_products(monkeypatch, seed):
     nvfp4 = config("fp4_e2m1", "nvfp4_double", 16)
     matmul(a, b, nvfp4, nvfp4, AccumSpec("float32"))
     assert [u is None for u in proofs] == [True] * 4
+
+
+def quantized_operands(a, b, cfg):
+    """Both operands quantized as matmul quantizes them, and their values."""
+    qa, qb = quantize(a, replace(cfg, axis=-1)), quantize(b, replace(cfg, axis=0))
+    return qa, qb, dequantize(qa), dequantize(qb)
+
+
+def operands_with_empty_sides(rng, m, k, n):
+    """Normal operands with all-zero groups and groups of one sign."""
+    a, b = rng.normal(0.1, 1, (m, k)), rng.normal(0, 0.5, (k, n))
+    a[0, :32], b[32:64, 0] = 0.0, 0.0
+    a[1, 32:64], b[:32, 1] = np.abs(a[1, 32:64]), np.abs(b[:32, 1])
+    a[2, 64:96], b[64:96, 2] = -np.abs(a[2, 64:96]), -np.abs(b[64:96, 2])
+    return a, b
+
+
+def test_scale_bounds_bound_the_line_stats_and_prove_only_exact_sums():
+    # every format and scale mode, on plain operands, on large ones (the
+    # nvfp4_double tensor scale is then above 1), on operands with empty sides,
+    # and with a tiny group in each operand as well
+    rng = np.random.default_rng(7)
+    held = failed = 0
+    names = ELEMENT_FORMAT_NAMES + tuple(f"{n}_asym" for n in ELEMENT_FORMAT_NAMES
+                                         if not n.startswith("int"))
+    for name in names:
+        for mode in SCALE_MODES:
+            cfg = config(name, mode, 32)
+            plain = rng.normal(0.1, 1, (6, 128)), rng.normal(0, 0.5, (128, 5))
+            large = plain[0] * 2.0**30, plain[1]
+            empty = operands_with_empty_sides(rng, 6, 128, 5)
+            tiny = tuple(x.copy() for x in empty)
+            tiny[0][3, 96:] *= 2.0**-120
+            tiny[1][96:, 3] *= 2.0**-126
+            for a, b in (plain, large, empty, tiny):
+                qa, qb, da, db = quantized_operands(a, b, cfg)
+                bounds = gemm._scale_stats(qa, 32), gemm._scale_stats(qb, 32)
+                stats = (gemm._line_stats(gemm._elem_bits(da), 1),
+                         gemm._line_stats(gemm._elem_bits(db), 0))
+                for (amax, low), (line_amax, line_low) in zip(bounds, stats):
+                    assert (amax >= line_amax).all() and (low <= line_low).all()
+                for accum in (np.float64, np.float32):
+                    dtype = np.dtype(accum)
+                    if gemm._sum_is_exact(128, *bounds, dtype):
+                        held += 1
+                        assert gemm._exact_prefix(da, db, 32, dtype) == 128
+                    else:
+                        failed += 1
+    assert held > 100 and failed > 100
+
+
+@pytest.mark.parametrize("name", ["fp4_e2m1", "fp4_e2m1_asym"])
+def test_scales_prove_the_sum_past_empty_sides(rng, name):
+    cfg = config(name, "pot_floor", 32)
+    a, b = operands_with_empty_sides(rng, 6, 128, 5)
+    qa, qb, _, _ = quantized_operands(a, b, cfg)
+    degenerate = degenerate_scale(cfg.scale_mode, cfg.fmt)
+    assert (qa.scales == degenerate).any() and (qb.scales == degenerate).any()
+    assert gemm._scales_prove_k(qa, qb, 32, np.dtype(np.float64))
+    assert_matmul_matches_oracle(a, b, cfg, cfg, "float64")
+
+
+def test_a_tiny_side_at_the_degenerate_scale_stays_in_the_bound(rng):
+    # amax 2**-126 under fp4/pot_floor gives the scale 2**-128, the degenerate
+    # value, but the group's codes are not zero (nor positive)
+    a = rng.normal(0.1, 1, (4, 128))
+    a[1, 32:64] = -(2.0**-126)
+    b = rng.normal(0, 1, (128, 3))
+    qa, qb, da, db = quantized_operands(a, b, MXFP4)
+    assert qa.scales[1, 1, 0] == degenerate_scale(MXFP4.scale_mode, MXFP4.fmt)
+    assert qa.codes[1, 32:64].all()
+    assert gemm._scale_stats(qa, 32)[1][1] <= gemm._line_stats(gemm._elem_bits(da), 1)[1][1]
+    assert gemm._exact_prefix(da, db, 32, np.dtype(np.float64)) == 32
+    assert not gemm._scales_prove_k(qa, qb, 32, np.dtype(np.float64))
+    assert_matmul_matches_oracle(a, b, MXFP4, MXFP4, "float64")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_scales_prove_the_rotated_benchmark_product(monkeypatch, seed):
+    # the rotated AMXFP4 float64 product needs no scan of its elements; the
+    # MXFP8 float32 one fails its first group's test and builds no scale bounds
+    rng = np.random.default_rng(seed)
+    k = 1024
+    a = benchmark_like_activation(rng, 32, k)
+    b = 0.05 * benchmark_like_activation(rng, 32, k).T
+    prefixes, bounds = spy(monkeypatch, "_exact_prefix"), spy(monkeypatch, "_scale_stats")
+    rot = make_rotation(k, 3)
+    matmul(rotate(a, rot), rotate(b, rot, axis=0), AMX, AMX)
+    assert prefixes == [] and len(bounds) == 2
+    bounds.clear()
+    mxfp8 = config("fp8_e4m3", "pot_floor", 32)
+    matmul(a, b, mxfp8, mxfp8, AccumSpec("float32"))
+    assert prefixes == [0] and bounds == []
 
 
 def assert_fold_matches_oracle(da, db, gs, accum):

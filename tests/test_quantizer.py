@@ -16,8 +16,8 @@ from mxemu.quantizer import QuantConfig, QuantizedTensor
 from mxemu.rotation import make_rotation, rotate
 from mxemu.scaling import (
     SCALE_MODES,
-    fp32_scale,
     fp_scale,
+    group_scales,
     nvfp4_scales,
     pot_floor_scale,
     pot_round_scale,
@@ -162,7 +162,7 @@ def _side_routine(mode, fmt, tensor_amax):
         "pot_floor": lambda a: pot_floor_scale(a, fmt),
         "pot_round": lambda a: pot_round_scale(a, fmt),
         "fp": lambda a: fp_scale(a, fmt, mode.scale_fmt),
-        "fp32": lambda a: fp32_scale(a, fmt),
+        "fp32": lambda a: group_scales(a[..., None], mode, fmt)[0],
         "double": lambda a: nvfp4_scales(tensor_amax, a, fmt)[1],
     }[mode.kind]
 

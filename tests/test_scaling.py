@@ -22,7 +22,6 @@ from mxemu.scaling import (
     ScaleMode,
     degenerate_scale,
     fold_groups,
-    fp32_scale,
     fp_scale,
     get_scale_mode,
     group_scales,
@@ -185,18 +184,23 @@ def test_fp_encoded_scale_flushes_an_underflowed_ideal_scale(x, mode):
     assert q.scales[-1, 0] == min_positive(SCALE_MODES[mode].scale_fmt)
 
 
+def fp32_scales(amax):
+    """fp32 scales of one-element groups holding amax, as group_scales gives them."""
+    return group_scales(np.atleast_1d(amax)[:, None], SCALE_MODES["fp32"], FP4)[0]
+
+
 @given(amax=st.floats(min_value=1e-6, max_value=1e6))
 def test_fp32_scale_maps_max_to_max(amax):
-    s = fp32_scale(amax, FP4)
+    s = fp32_scales(amax)[0]
     assert s == float(np.float32(amax / 6.0))
 
 
 def test_fp32_scale_flushes_underflow_and_rejects_overflow():
-    assert fp32_scale(1e-60, FP4) == 2.0**-149
-    np.testing.assert_array_equal(fp32_scale(np.array([0.0, 1e-60]), FP4),
+    assert fp32_scales(1e-60)[0] == 2.0**-149
+    np.testing.assert_array_equal(fp32_scales(np.array([0.0, 1e-60])),
                                   [degenerate_scale(SCALE_MODES["fp32"], FP4), 2.0**-149])
     with pytest.raises(DataError, match="binary32"):
-        fp32_scale(1e300, FP4)
+        fp32_scales(1e300)
 
 
 def test_group_scale_dispatch_matches_scalar_routines():
