@@ -37,20 +37,19 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   ordered fold is -0.0 exactly when every one of its terms is, whether they
   lie in one group or span many. The entries where the product is zero are
   set from their terms.
-- The same test from the stored scales, over all of K, before matmul and
-  dot dequantize. Each value is x = fl(g*s), or fl(fl(g*s)*t) under
-  nvfp4_double, with g on the element grid, s its side's stored scale and
-  t the tensor scale. Rounding is monotone, so |x| <= fl(fl(max_normal*s)*t).
-  An exact product adds the exponents of the lowest set bits, and a rounded
-  one is a multiple of an ulp above them, so q(x) >= q_grid + q(s) + q(t),
-  with q_grid the least q of a nonzero grid value. A side is left out only
-  where its scale is the degenerate one and it scales no nonzero code,
-  since a tiny side can carry that scale too. The per-line maxima of the
-  |x| bounds and minima of the q bounds over all groups then go to the test
-  with k = K; where it holds, one product covers all of K, and no element
-  is scanned. These bounds are never tighter than the line stats, so the
-  proof is tried only after the first group passes its line-stats test.
-  Where it fails, the walk above finds the prefix.
+- The same test from the stored scales, over all of K. Each value is
+  x = fl(g*s), or fl(fl(g*s)*t) under nvfp4_double, with g on the element
+  grid, s its side's stored scale and t the tensor scale. Rounding is
+  monotone, so |x| <= fl(fl(max_normal*s)*t). An exact product adds the
+  exponents of the lowest set bits, and a rounded one is a multiple of an
+  ulp above them, so q(x) >= q_grid + q(s) + q(t), with q_grid the least q
+  of a nonzero grid value. A side is left out only where its scale is the
+  degenerate one and it scales no nonzero code, since a tiny side can carry
+  that scale too. matmul takes the per-line maxima of the |x| bounds and
+  minima of the q bounds over all groups before it dequantizes. These
+  bounds are never tighter than the line stats, so the walk tests them,
+  with k = K, only once the first group passes its own test; where they
+  hold, one product covers all of K and no later group is scanned.
 - Past the prefix each group is tested on its own, with k = gs, and takes
   one BLAS product where its sum is exact.
 - Where that test fails, a bound per entry. Let u(x) = 2**-q(x), with q(x)
@@ -183,8 +182,11 @@ def _joined(run, stats):
     return np.maximum(run[0], stats[0]), np.minimum(run[1], stats[1])
 
 
-def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> int:
-    """Length of the longest run of leading groups whose whole sum is exact in dtype."""
+def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype, whole=None) -> int:
+    """Length of the longest run of leading groups whose whole sum is exact in
+    dtype. whole, both operands' bounds over all of K as _scale_stats gives
+    them, is tested once the first group passes: it is never tighter than
+    the line stats, so where the first group fails it would fail too."""
     run = None
     for k0 in range(0, da.shape[1], gs):
         stats = (_line_stats(_elem_bits(da[:, k0:k0 + gs]), 1),
@@ -192,6 +194,8 @@ def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> i
         joined = stats if run is None else (_joined(run[0], stats[0]), _joined(run[1], stats[1]))
         if not _sum_is_exact(k0 + gs, *joined, dtype):
             return k0
+        if run is None and whole is not None and _sum_is_exact(da.shape[1], *whole, dtype):
+            return da.shape[1]
         run = joined
     return da.shape[1]
 
@@ -221,18 +225,6 @@ def _scale_stats(q: QuantizedTensor, gs: int):
         amax.put(idx, 0.0)
         low.put(idx, _NO_BITS)
     return amax.max((1, 2)), low.min((1, 2))
-
-
-def _scales_prove_k(qa: QuantizedTensor, qb: QuantizedTensor, gs: int, dtype: np.dtype) -> bool:
-    """Whether the stored scales of both operands prove their whole sum exact
-    in dtype. Tried only where the first group's line stats pass their test:
-    the scale bounds are never tighter, so the whole sum would fail too."""
-    first = [dequantize(replace(q, codes=q.codes[..., :gs], scales=q.scales[..., :1, :],
-                                config=replace(q.config, axis=-1))).reshape(-1, gs)
-             for q in (qa, qb)]
-    if not _sum_is_exact(gs, *(_line_stats(_elem_bits(f), 1) for f in first), dtype):
-        return False
-    return _sum_is_exact(qa.codes.shape[-1], _scale_stats(qa, gs), _scale_stats(qb, gs), dtype)
 
 
 def _fold_entries(out: np.ndarray, mask: np.ndarray, sa: np.ndarray, sb: np.ndarray,
@@ -293,11 +285,10 @@ def _binary32(sa: np.ndarray, sb: np.ndarray):
     return sa, sb
 
 
-def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec,
-          whole: bool = False) -> np.ndarray:
+def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole=None) -> np.ndarray:
     """Ordered sum of the rank-1 terms da[:, t] x db[t] in the accumulator dtype.
-    whole asserts that the sum over all of K is exact, as _scales_prove_k
-    proves; otherwise the fold finds its exact prefix from the elements."""
+    whole, both operands' scale bounds as _scale_stats gives them, may prove
+    the exact prefix to be all of K."""
     dtype = np.dtype(spec.accum)
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
@@ -306,7 +297,7 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec,
     # after n entry proofs in a row end in the dense loop, the next 4**(n - 1)
     # groups that need the loop skip the proof
     skip = misses = 0
-    k0 = da.shape[1] if whole else _exact_prefix(da, db, gs, dtype)
+    k0 = _exact_prefix(da, db, gs, dtype, whole)
     if k0:
         sa, sb = da[:, :k0], db[:k0]
         np.matmul(sa, sb, out=wide)
@@ -348,8 +339,7 @@ def dot(a: QuantizedTensor, b: QuantizedTensor, spec: AccumSpec = AccumSpec()) -
     if a.shape != b.shape:
         raise ConfigError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
     gs = _group_size("dot", a.config, b.config, a.shape[0])
-    whole = _scales_prove_k(a, b, gs, np.dtype(spec.accum))
-    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs, spec, whole)[0, 0])
+    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs, spec)[0, 0])
 
 
 def matmul(
@@ -370,7 +360,7 @@ def matmul(
     qa, qb = quantize(a, replace(cfg_a, axis=-1)), quantize(b, replace(cfg_b, axis=0))
     # before the operands are dequantized, so that the bounds' O((M + N) * K / gs)
     # temporaries never add to the fold's peak; nor do the codes, freed before it
-    whole = _scales_prove_k(qa, qb, gs, np.dtype(spec.accum))
+    whole = _scale_stats(qa, gs), _scale_stats(qb, gs)
     da, db = dequantize(qa), dequantize(qb)
     del qa, qb
     return _fold(da, db, gs, spec, whole)

@@ -523,6 +523,13 @@ def quantized_operands(a, b, cfg):
     return qa, qb, dequantize(qa), dequantize(qb)
 
 
+def scales_prove(qa, qb, accum):
+    """Whether both operands' scale bounds prove their whole sum exact."""
+    k = qa.codes.shape[-1]
+    return gemm._sum_is_exact(k, gemm._scale_stats(qa, 32), gemm._scale_stats(qb, 32),
+                              np.dtype(accum))
+
+
 def operands_with_empty_sides(rng, m, k, n):
     """Normal operands with all-zero groups and groups of one sign."""
     a, b = rng.normal(0.1, 1, (m, k)), rng.normal(0, 0.5, (k, n))
@@ -573,7 +580,7 @@ def test_scales_prove_the_sum_past_empty_sides(rng, name):
     qa, qb, _, _ = quantized_operands(a, b, cfg)
     degenerate = degenerate_scale(cfg.scale_mode, cfg.fmt)
     assert (qa.scales == degenerate).any() and (qb.scales == degenerate).any()
-    assert gemm._scales_prove_k(qa, qb, 32, np.dtype(np.float64))
+    assert scales_prove(qa, qb, np.float64)
     assert_matmul_matches_oracle(a, b, cfg, cfg, "float64")
 
 
@@ -588,26 +595,29 @@ def test_a_tiny_side_at_the_degenerate_scale_stays_in_the_bound(rng):
     assert qa.codes[1, 32:64].all()
     assert gemm._scale_stats(qa, 32)[1][1] <= gemm._line_stats(gemm._elem_bits(da), 1)[1][1]
     assert gemm._exact_prefix(da, db, 32, np.dtype(np.float64)) == 32
-    assert not gemm._scales_prove_k(qa, qb, 32, np.dtype(np.float64))
+    assert not scales_prove(qa, qb, np.float64)
     assert_matmul_matches_oracle(a, b, MXFP4, MXFP4, "float64")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_the_scales_prove_the_rotated_benchmark_product(monkeypatch, seed):
-    # the rotated AMXFP4 float64 product needs no scan of its elements; the
-    # MXFP8 float32 one fails its first group's test and builds no scale bounds
+    # the rotated AMXFP4 float64 product scans only its first group before the
+    # scales prove all of K; the MXFP8 float32 one fails its first group's test,
+    # so its scale bounds are never tested
     rng = np.random.default_rng(seed)
     k = 1024
     a = benchmark_like_activation(rng, 32, k)
     b = 0.05 * benchmark_like_activation(rng, 32, k).T
-    prefixes, bounds = spy(monkeypatch, "_exact_prefix"), spy(monkeypatch, "_scale_stats")
+    prefixes, sums = spy(monkeypatch, "_exact_prefix"), []
+    real = gemm._sum_is_exact
+    monkeypatch.setattr(gemm, "_sum_is_exact", lambda n, *rest: sums.append(n) or real(n, *rest))
     rot = make_rotation(k, 3)
     matmul(rotate(a, rot), rotate(b, rot, axis=0), AMX, AMX)
-    assert prefixes == [] and len(bounds) == 2
-    bounds.clear()
+    assert prefixes == [k] and sums == [32, k]
+    prefixes.clear(), sums.clear()
     mxfp8 = config("fp8_e4m3", "pot_floor", 32)
     matmul(a, b, mxfp8, mxfp8, AccumSpec("float32"))
-    assert prefixes == [0] and bounds == []
+    assert prefixes == [0] and set(sums) == {32}
 
 
 def assert_fold_matches_oracle(da, db, gs, accum):
