@@ -26,7 +26,6 @@ walks stay serial: their blocks measured no faster on threads.
 
 from __future__ import annotations
 
-import contextvars
 import os
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -64,18 +63,16 @@ def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     The blocks of quantizer.row_blocks run on up to N threads, N the CPUs
     this process may run on, with at most N blocks in flight: working
     memory is O(N x block). One thread computes and writes all groups of a
-    block, so the bits do not depend on N. Errors are those of a serial
-    walk: block results are read in block order, and an underflow follows
-    the caller's np.errstate. So under np.errstate(under="raise"), valid
-    groups whose squares underflow, such as values near 1e-300, raise
-    FloatingPointError instead of returning their kurtosis.
+    block, so the bits do not depend on N. No floating-point error is
+    raised, whatever the caller's np.errstate: a valid group whose squares
+    underflow, such as one of values near 1e-300, gets its kurtosis.
     """
     _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
     mean, kurtosis = np.empty((2, xg.size // gs))
 
     def block_stats(groups, flat):
         # C-ordered blocks of groups: each group sums like a 1-D mean, whatever the axis
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             m, sigma, kurt = _moments(flat)
             # a sigma outside [2**-511, 2**511] lost bits to z**2 or overflowed
             # (but for a constant group's 0): rerun those groups scaled by the
@@ -109,11 +106,11 @@ def _usable_cpus() -> int:
 
 
 def _on_threads(body, blocks):
-    """Call body(*block) for each block on up to _usable_cpus() threads, each
-    call in a copy of the caller's context, with at most that many blocks in
-    flight. Results are read in block order, so the first error raised is
-    that of the first block that fails. A lone block runs in the calling
-    thread: starting a pool thread costs more than its work saves."""
+    """Call body(*block) for each block on up to _usable_cpus() threads, with
+    at most that many blocks in flight. Results are read in block order, so
+    the first error raised is that of the first block that fails. A lone
+    block runs in the calling thread: starting a pool thread costs more
+    than its work saves."""
     blocks = iter(blocks)
     first, second = next(blocks, None), next(blocks, None)
     if second is None:
@@ -125,7 +122,7 @@ def _on_threads(body, blocks):
     with ThreadPoolExecutor(workers) as pool:
         in_flight = deque()
         for block in chain((first, second), blocks):
-            in_flight.append(pool.submit(contextvars.copy_context().run, body, *block))
+            in_flight.append(pool.submit(body, *block))
             if len(in_flight) == workers:  # before the next block is made
                 in_flight.popleft().result()
         for done in in_flight:

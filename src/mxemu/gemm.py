@@ -45,11 +45,11 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   ulp above them, so q(x) >= q_grid + q(s) + q(t), with q_grid the least q
   of a nonzero grid value. A side is left out only where its scale is the
   degenerate one and it scales no nonzero code, since a tiny side can carry
-  that scale too. matmul takes the per-line maxima of the |x| bounds and
-  minima of the q bounds over all groups before it dequantizes. These
-  bounds are never tighter than the line stats, so the walk tests them,
-  with k = K, only once the first group passes its own test; where they
-  hold, one product covers all of K and no later group is scanned.
+  that scale too. dot and matmul take the per-line maxima of the |x| bounds
+  and minima of the q bounds over all groups before they dequantize, and
+  the fold tests them, with k = K, before it scans any group: where they
+  hold, one product covers all of K. Else the walk runs; the bounds are
+  never tighter than the line stats, so its prefix is the same either way.
 - Past the prefix each group is tested on its own, with k = gs, and takes
   one BLAS product where its sum is exact.
 - Where that test fails, a bound per entry. Let u(x) = 2**-q(x), with q(x)
@@ -182,11 +182,8 @@ def _joined(run, stats):
     return np.maximum(run[0], stats[0]), np.minimum(run[1], stats[1])
 
 
-def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype, whole=None) -> int:
-    """Length of the longest run of leading groups whose whole sum is exact in
-    dtype. whole, both operands' bounds over all of K as _scale_stats gives
-    them, is tested once the first group passes: it is never tighter than
-    the line stats, so where the first group fails it would fail too."""
+def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype) -> int:
+    """Length of the longest run of leading groups whose whole sum is exact in dtype."""
     run = None
     for k0 in range(0, da.shape[1], gs):
         stats = (_line_stats(_elem_bits(da[:, k0:k0 + gs]), 1),
@@ -194,8 +191,6 @@ def _exact_prefix(da: np.ndarray, db: np.ndarray, gs: int, dtype: np.dtype, whol
         joined = stats if run is None else (_joined(run[0], stats[0]), _joined(run[1], stats[1]))
         if not _sum_is_exact(k0 + gs, *joined, dtype):
             return k0
-        if run is None and whole is not None and _sum_is_exact(da.shape[1], *whole, dtype):
-            return da.shape[1]
         run = joined
     return da.shape[1]
 
@@ -285,10 +280,10 @@ def _binary32(sa: np.ndarray, sb: np.ndarray):
     return sa, sb
 
 
-def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole=None) -> np.ndarray:
+def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole) -> np.ndarray:
     """Ordered sum of the rank-1 terms da[:, t] x db[t] in the accumulator dtype.
-    whole, both operands' scale bounds as _scale_stats gives them, may prove
-    the exact prefix to be all of K."""
+    whole bounds both operands' line stats over all of K, as _scale_stats
+    does; where it proves the whole sum exact, no group is scanned."""
     dtype = np.dtype(spec.accum)
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
@@ -297,13 +292,14 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole=None) 
     # after n entry proofs in a row end in the dense loop, the next 4**(n - 1)
     # groups that need the loop skip the proof
     skip = misses = 0
-    k0 = _exact_prefix(da, db, gs, dtype, whole)
+    k = da.shape[1]
+    k0 = k if _sum_is_exact(k, *whole, dtype) else _exact_prefix(da, db, gs, dtype)
     if k0:
         sa, sb = da[:, :k0], db[:k0]
         np.matmul(sa, sb, out=wide)
         _fold_entries(wide, wide == 0, sa, sb, dtype, exact=True)
         np.copyto(acc, wide)  # an exact float64 sum casts to dtype without rounding
-    for g0 in range(k0, da.shape[1], gs):
+    for g0 in range(k0, k, gs):
         sa, sb = da[:, g0:g0 + gs], db[g0:g0 + gs]
         elems_a, elems_b = _elem_bits(sa), _elem_bits(sb)
         if _sum_is_exact(gs, _line_stats(elems_a, 1), _line_stats(elems_b, 0), dtype):
@@ -332,6 +328,17 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole=None) 
     return acc
 
 
+def _product(qa: QuantizedTensor, qb: QuantizedTensor, gs: int, spec: AccumSpec) -> np.ndarray:
+    """The fold of qa's rows against qb's columns, a 1-D operand being one line."""
+    # before dequantizing, so that neither the bounds' O((M + N) * K / gs) temporaries
+    # nor matmul's codes (held by this frame alone, CPython 3.11 on) add to the fold's peak
+    whole = _scale_stats(qa, gs), _scale_stats(qb, gs)
+    da, db = dequantize(qa), dequantize(qb)
+    del qa, qb
+    k = da.shape[-1]
+    return _fold(da.reshape(-1, k), db.reshape(k, -1), gs, spec, whole)
+
+
 def dot(a: QuantizedTensor, b: QuantizedTensor, spec: AccumSpec = AccumSpec()) -> float:
     """Emulated dot product of two 1-D quantized tensors."""
     if len(a.shape) != 1 or len(b.shape) != 1:
@@ -339,7 +346,7 @@ def dot(a: QuantizedTensor, b: QuantizedTensor, spec: AccumSpec = AccumSpec()) -
     if a.shape != b.shape:
         raise ConfigError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
     gs = _group_size("dot", a.config, b.config, a.shape[0])
-    return float(_fold(dequantize(a)[None, :], dequantize(b)[:, None], gs, spec)[0, 0])
+    return float(_product(a, b, gs, spec)[0, 0])
 
 
 def matmul(
@@ -357,11 +364,6 @@ def matmul(
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
     gs = _group_size("matmul", cfg_a, cfg_b, a.shape[1])
-    qa, qb = quantize(a, replace(cfg_a, axis=-1)), quantize(b, replace(cfg_b, axis=0))
-    # before the operands are dequantized, so that the bounds' O((M + N) * K / gs)
-    # temporaries never add to the fold's peak; nor do the codes, freed before it
-    whole = _scale_stats(qa, gs), _scale_stats(qb, gs)
-    da, db = dequantize(qa), dequantize(qb)
-    del qa, qb
-    return _fold(da, db, gs, spec, whole)
+    return _product(quantize(a, replace(cfg_a, axis=-1)), quantize(b, replace(cfg_b, axis=0)),
+                    gs, spec)
 

@@ -221,12 +221,21 @@ def test_a_one_block_group_stats_starts_no_thread(monkeypatch, shape, group_size
     _assert_serial_bits(x, group_size, -1)
 
 
-def test_group_stats_raise_under_the_caller_errstate():
+# one row per block, on threads; and the whole input as one block
+@pytest.mark.parametrize("block_elems, blocks", [(64, 4), (4096, 1)])
+def test_group_stats_ignore_the_caller_errstate(monkeypatch, block_elems, blocks):
+    monkeypatch.setattr(quantizer, "BLOCK_ELEMS", block_elems)
     x = np.full((4, 64), 1e-300)
     x[:, ::2] = 0.0  # each group's z**2 underflows
-    for walk in (group_stats, _serial_group_stats):
-        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-            walk(x, 32, -1)
+    assert len(list(row_blocks(group_view(x, 32)[1]))) == blocks
+    want = group_stats(x, 32, -1)
+    with np.errstate(all="raise"):
+        got = group_stats(x, 32, -1)
+    for g, w in zip((got.mean, got.kurtosis), (want.mean, want.kurtosis)):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+    scaled = group_stats(x * 2.0**1000, 32, -1)
+    np.testing.assert_array_equal(got.kurtosis.view(np.uint64), scaled.kurtosis.view(np.uint64))
+    assert (got.kurtosis == 1.0).all()
 
 
 # ---- stats_summary ----------------------------------------------------------

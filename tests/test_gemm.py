@@ -282,6 +282,29 @@ def test_matmul_output_bits_pinned(case):
     assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_MATMUL[case]
 
 
+# SHA-256 of the float64 bytes of 16 dots of 512 terms on fixed inputs, one
+# case for each path a dot takes
+PINNED_DOT = {
+    # the scales prove all of K: one product
+    "amxfp4_f64": "da07d25690f81700273b206677e846ed620e64713818eeefc041731ca31b7922",
+    # most dots have no exact prefix; their groups take the entry bound, and
+    # one group the rank-1 loop
+    "mxfp8_f32": "6a25e4a6d85e25373ee274de8df6728531cbbbe164367a261bd1f78809aeeefe",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DOT))
+def test_dot_output_bits_pinned(case):
+    rng = np.random.default_rng(11)
+    a = rng.normal(0.1, 1, (16, 512))
+    b = rng.normal(-0.05, 0.5, (16, 512))
+    cfg, accum = {"amxfp4_f64": (AMX, "float64"),
+                  "mxfp8_f32": (config("fp8_e4m3", "pot_floor", 32), "float32")}[case]
+    out = np.array([dot(quantize(x, cfg), quantize(y, cfg), AccumSpec(accum))
+                    for x, y in zip(a, b)])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_DOT[case]
+
+
 def assert_matmul_matches_oracle(a, b, cfg_a, cfg_b, accum):
     out = matmul(a, b, cfg_a, cfg_b, AccumSpec(accum))
     da = dequantize(quantize(a, replace(cfg_a, axis=-1)))
@@ -601,9 +624,9 @@ def test_a_tiny_side_at_the_degenerate_scale_stays_in_the_bound(rng):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_the_scales_prove_the_rotated_benchmark_product(monkeypatch, seed):
-    # the rotated AMXFP4 float64 product scans only its first group before the
-    # scales prove all of K; the MXFP8 float32 one fails its first group's test,
-    # so its scale bounds are never tested
+    # the scale bounds are tested first, with k = K: the rotated AMXFP4 float64
+    # product passes and scans no group; the MXFP8 float32 one fails, then its
+    # walk fails the first group's test
     rng = np.random.default_rng(seed)
     k = 1024
     a = benchmark_like_activation(rng, 32, k)
@@ -613,15 +636,33 @@ def test_the_scales_prove_the_rotated_benchmark_product(monkeypatch, seed):
     monkeypatch.setattr(gemm, "_sum_is_exact", lambda n, *rest: sums.append(n) or real(n, *rest))
     rot = make_rotation(k, 3)
     matmul(rotate(a, rot), rotate(b, rot, axis=0), AMX, AMX)
-    assert prefixes == [k] and sums == [32, k]
+    assert prefixes == [] and sums == [k]
     prefixes.clear(), sums.clear()
     mxfp8 = config("fp8_e4m3", "pot_floor", 32)
     matmul(a, b, mxfp8, mxfp8, AccumSpec("float32"))
-    assert prefixes == [0] and set(sums) == {32}
+    assert prefixes == [0] and sums[0] == k and set(sums[1:]) == {32}
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+def test_a_dot_the_scales_prove_scans_no_group(monkeypatch, rng, accum):
+    qa, qb = quantize(rng.normal(0.3, 1, 256), AMX), quantize(rng.normal(-0.2, 1, 256), AMX)
+    assert scales_prove(qa, qb, accum)
+    prefixes = spy(monkeypatch, "_exact_prefix")
+    d = dot(qa, qb, AccumSpec(accum))
+    assert prefixes == []
+    expect = python_matmul_oracle(dequantize(qa)[None], dequantize(qb)[:, None], 32,
+                                  np.dtype(accum).type)[0, 0]
+    assert np.float64(d).tobytes() == np.float64(expect).tobytes()
+
+
+def fold(da, db, gs, spec):
+    """gemm._fold of two value arrays, bounded by their own line stats over all of K."""
+    whole = gemm._line_stats(gemm._elem_bits(da), 1), gemm._line_stats(gemm._elem_bits(db), 0)
+    return gemm._fold(da, db, gs, spec, whole)
 
 
 def assert_fold_matches_oracle(da, db, gs, accum):
-    out = gemm._fold(da, db, gs, AccumSpec(accum))
+    out = fold(da, db, gs, AccumSpec(accum))
     expect = python_matmul_oracle(da, db, gs, np.dtype(accum).type)
     bits = f"u{out.itemsize}"
     np.testing.assert_array_equal(out.view(bits), expect.view(bits))
@@ -740,12 +781,11 @@ def test_fold_and_matmul_bits_do_not_depend_on_the_operand_layout(rng, accum, na
     a, b = rng.normal(0, 1, (8, 64)), rng.normal(0, 1, (64, 12)) * 2.0 ** rng.integers(-9, 9, 12)
     cfg, spec = config(name, scale, 16), AccumSpec(accum)
     da, db = dequantize(quantize(a, cfg)), dequantize(quantize(b, replace(cfg, axis=0)))
-    want_fold = gemm._fold(da, db, 16, spec).view(np.uint8)
+    want_fold = fold(da, db, 16, spec).view(np.uint8)
     want = matmul(a, b, cfg, replace(cfg, axis=0), spec).view(np.uint8)
     for order_a in "CF":
         for order_b in "CF":
-            got = gemm._fold(np.asarray(da, order=order_a), np.asarray(db, order=order_b), 16,
-                             spec)
+            got = fold(np.asarray(da, order=order_a), np.asarray(db, order=order_b), 16, spec)
             np.testing.assert_array_equal(got.view(np.uint8), want_fold)
             got = matmul(np.asarray(a, order=order_a), np.asarray(b, order=order_b), cfg,
                          replace(cfg, axis=0), spec)
