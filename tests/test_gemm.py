@@ -461,11 +461,15 @@ def test_matmul_zero_signs_across_the_groups_of_a_prefix(rng, accum):
 
 
 @pytest.mark.parametrize("accum", ["float64", "float32"])
-def test_dot_whose_exact_prefix_covers_k(rng, accum):
+def test_dot_whose_exact_prefix_covers_k(monkeypatch, rng, accum):
+    # the scales prove all of K too, so the dot scans no group
     xa, xb = rng.normal(0.3, 1, 256), rng.normal(-0.2, 1, 256)
     assert exact_prefix(xa[None], xb[:, None], AMX, AMX, accum) == 256
     qa, qb = quantize(xa, AMX), quantize(xb, AMX)
+    assert scales_prove(qa, qb, accum)
+    prefixes = spy(monkeypatch, "_exact_prefix")
     d = dot(qa, qb, AccumSpec(accum))
+    assert prefixes == []
     expect = python_matmul_oracle(dequantize(qa)[None], dequantize(qb)[:, None], 32,
                                   np.dtype(accum).type)[0, 0]
     assert np.float64(d).tobytes() == np.float64(expect).tobytes()
@@ -641,18 +645,6 @@ def test_the_scales_prove_the_rotated_benchmark_product(monkeypatch, seed):
     mxfp8 = config("fp8_e4m3", "pot_floor", 32)
     matmul(a, b, mxfp8, mxfp8, AccumSpec("float32"))
     assert prefixes == [0] and sums[0] == k and set(sums[1:]) == {32}
-
-
-@pytest.mark.parametrize("accum", ["float64", "float32"])
-def test_a_dot_the_scales_prove_scans_no_group(monkeypatch, rng, accum):
-    qa, qb = quantize(rng.normal(0.3, 1, 256), AMX), quantize(rng.normal(-0.2, 1, 256), AMX)
-    assert scales_prove(qa, qb, accum)
-    prefixes = spy(monkeypatch, "_exact_prefix")
-    d = dot(qa, qb, AccumSpec(accum))
-    assert prefixes == []
-    expect = python_matmul_oracle(dequantize(qa)[None], dequantize(qb)[:, None], 32,
-                                  np.dtype(accum).type)[0, 0]
-    assert np.float64(d).tobytes() == np.float64(expect).tobytes()
 
 
 def fold(da, db, gs, spec):
