@@ -6,7 +6,8 @@ index is its position. Kurtosis here is the plain fourth standardized
 moment E[(v-u)^4]/sigma^4 with population variance and no excess
 correction, so any distribution is bounded below by 1 and a Gaussian sits
 at 3. It is defined for every finite non-constant group, however small or
-large its values, and NaN for a constant group, whose variance is zero.
+large its values, and NaN for a constant group of any size, whose variance
+is zero and whose mean is its value, even where numpy's mean of it rounds.
 Quantization error decomposes exhaustively into a clamping part (elements
 whose scaled magnitude exceeds the format's max normal, or whose zero-point
 code saturates, as quantizer.quantize_blocks reports them) and a rounding part;
@@ -65,7 +66,8 @@ def group_stats(x, group_size=None, axis=-1) -> GroupStats:
     memory is O(N x block). One thread computes and writes all groups of a
     block, so the bits do not depend on N. No floating-point error is
     raised, whatever the caller's np.errstate: a valid group whose squares
-    underflow, such as one of values near 1e-300, gets its kurtosis.
+    underflow, such as one of values near 1e-300, gets its kurtosis. A
+    constant group of any size gets its value as mean and NaN as kurtosis.
     """
     _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
     mean, kurtosis = np.empty((2, xg.size // gs))
@@ -74,12 +76,17 @@ def group_stats(x, group_size=None, axis=-1) -> GroupStats:
         # C-ordered blocks of groups: each group sums like a 1-D mean, whatever the axis
         with np.errstate(all="ignore"):
             m, sigma, kurt = _moments(flat)
-            # a sigma outside [2**-511, 2**511] lost bits to z**2 or overflowed
-            # (but for a constant group's 0): rerun those groups scaled by the
-            # power of two that puts amax in [0.5, 1)
-            redo = ~((sigma >= 2.0**-511) & (sigma <= 2.0**511))
-            redo[redo] = (flat[redo] != m[redo, None]).any(axis=1)
-            if redo.any():
+            # a sigma outside [2**-511, 2**511] lost bits to z**2 or overflowed,
+            # and one at most 2**-40 * |m| may be a constant group's rounded mean
+            odd = np.flatnonzero(~((sigma >= 2.0**-511) & (sigma <= 2.0**511)
+                                   & (sigma > 2.0**-40 * np.abs(m))))
+            same = (flat[odd] == flat[odd, :1]).all(axis=1)
+            const, redo = odd[same], odd[~same]
+            # a constant group's mean is its value (m where equal keeps a zero's sign)
+            m[const] = np.where(m[const] == flat[const, 0], m[const], flat[const, 0])
+            kurt[const] = np.nan
+            # the others rerun scaled by the power of two that puts amax in [0.5, 1)
+            if redo.size:
                 e = np.frexp(np.abs(flat[redo]).max(axis=1))[1]
                 scaled, _, kurt[redo] = _moments(np.ldexp(flat[redo], -e[:, None]))
                 m[redo] = np.ldexp(scaled, e)

@@ -4,12 +4,12 @@ Each product term is the product of the two operands' dequantized elements,
 so the shared scale entering every term is selected by that element's sign,
 matching the sign-dependent polarity of asymmetric scaling.
 
-The ordered fold is the contract. K splits into groups of gs terms. Inside
-a group, an output entry's partial is its first term (not zero, so a sum of
--0.0 terms stays -0.0) plus each later term in turn; the group partials then
-combine in ascending order. Each float64 product and every partial round to
-the accumulator dtype, so under float64 this is dequantize-multiply-sum in
-that order. Working memory is O(M*N + (M + N)*gs + K) beyond the dequantized
+The ordered fold is the contract. K splits into groups of gs terms. An output
+entry starts at -0.0, the identity of IEEE addition, and adds the group
+partials in ascending order; a group's partial is its first term plus each
+later term in turn. Each float64 product and every partial round to the
+accumulator dtype, so under float64 this is dequantize-multiply-sum in that
+order. Working memory is O(M*N + (M + N)*gs + K) beyond the dequantized
 operands: five (M, N) buffers, and the gathered terms of single entries, at
 most min(M*N, 2**17) at a time, or one entry's K where K is longer.
 
@@ -42,19 +42,20 @@ The fold takes the cheapest path that provably gives the ordered fold's bits:
   grid, s its side's stored scale and t the tensor scale. Rounding is
   monotone, so |x| <= fl(fl(max_normal*s)*t). An exact product adds the
   exponents of the lowest set bits, and a rounded one is a multiple of an
-  ulp above them, so q(x) >= q_grid + q(s) + q(t), with q_grid the least q
-  of a nonzero grid value. A side is left out only where its scale is the
-  degenerate one and it scales no nonzero code, since a tiny side can carry
-  that scale too. dot and matmul take the per-line maxima of the |x| bounds
-  and minima of the q bounds over all groups before they dequantize, and
-  the fold tests them, with k = K, before it scans any group: where they
-  hold, one product covers all of K. Else the walk runs; the bounds are
-  never tighter than the line stats, so its prefix is the same either way.
+  ulp above them, so q(x) >= q_grid + q(s) + q(t), with q_grid the q of the
+  least positive grid value, of which every grid value is a multiple. A
+  side is left out only where its scale is the degenerate one and it scales
+  no nonzero code, since a tiny side can carry that scale too. dot and
+  matmul take the per-line maxima of the |x| bounds and minima of the q
+  bounds over all groups before they dequantize, and the fold tests them,
+  with k = K, before it scans any group: where they hold, one product covers
+  all of K. Else the walk runs; the bounds are never tighter than the line
+  stats, so its prefix is the same either way.
 - Past the prefix each group is tested on its own, with k = gs, and takes
   one BLAS product where its sum is exact.
-- Where that test fails, a bound per entry. Let u(x) = 2**-q(x), with q(x)
-  the exponent of the lowest set bit of x (u is 0 for a zero, inf past
-  binary64), and take two float64 products over the group's slices,
+- Where that test fails, a bound per entry. Let u(x) = 2**-q(x) exactly, with
+  q(x) the exponent of the lowest set bit of x (u is 0 for a zero, inf past
+  binary64, and has no floor), and take two float64 products over the slices,
   R = |sa| @ |sb| and E = u(sa) @ u(sb). Entry (i, j) is proven when
 
       R[i,j] <= max(dtype),   R[i,j] * E[i,j] < 2**(p - 1),   E[i,j] <= 2**-least.
@@ -84,6 +85,7 @@ rejected; dequantize them and multiply in floating point instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,7 +129,7 @@ def _group_size(op: str, cfg_a: QuantConfig, cfg_b: QuantConfig, k: int) -> int:
     return gs_a
 
 
-# exponent given to a zero element: it never limits the bound
+# exponent given to a zero element: it never limits a bound, and 2**-_NO_BITS is 0
 _NO_BITS = 1 << 20
 # terms gathered at once to fold single entries (1 MB of float64)
 _ZERO_TERMS = 1 << 17
@@ -202,7 +204,7 @@ def _scale_stats(q: QuantizedTensor, gs: int):
     A line is a row of the grouped layout, so a column of a matmul's rhs."""
     cfg = q.config
     scales = q.scales.reshape(-1, q.scales.shape[-2], 2)[..., :2 if cfg.asymmetric else 1]
-    low = _elem_bits(formats.grid(cfg.fmt))[1].min() + _elem_bits(scales)[1]
+    low = math.frexp(formats.min_positive(cfg.fmt))[1] - 1 + _elem_bits(scales)[1]
     with np.errstate(over="ignore"):  # a bound past binary64 fails the test
         amax = scales * formats.max_normal(cfg.fmt)
         if q.tensor_scale is not None:
@@ -234,25 +236,9 @@ def _fold_entries(out: np.ndarray, mask: np.ndarray, sa: np.ndarray, sb: np.ndar
         i, j = np.divmod(idx[c:c + step], out.shape[1])
         terms = np.multiply(sa[i], sb.T[j])  # one entry's terms to a row
         if exact:  # from -0.0, the identity of IEEE addition; numpy's +0.0 loses -0.0 sums
-            part = terms.astype(dtype, copy=False).sum(1, initial=-0.0)
-        else:  # one transposing cast, so that each add reads a row
-            terms = terms.astype(dtype, order="F").T
-            part = terms[0]
-            for t in terms[1:]:
-                part += t
-        out[i, j] = part
-
-
-def _reciprocal_lowbit(elems) -> np.ndarray:
-    """u = 2**-q of each element of a slice, from its _elem_bits: 0 for a
-    zero, inf past binary64, and 2**-1022 (an upper bound) below that."""
-    mag, q = elems
-    e = np.subtract(1023, q)
-    np.clip(e, 1, 2047, out=e)
-    e <<= 52
-    u = e.view(np.float64)
-    u[mag == 0] = 0.0
-    return u
+            out[i, j] = terms.astype(dtype, copy=False).sum(1, initial=-0.0)
+        else:  # column-major, so that a fold column by column reads contiguous columns
+            out[i, j] = scaling.fold_groups(np.add, terms.astype(dtype, order="F"))
 
 
 def _unproven_entries(elems_a, elems_b, dtype: np.dtype, wide, bound):
@@ -260,9 +246,9 @@ def _unproven_entries(elems_a, elems_b, dtype: np.dtype, wide, bound):
     entry bound leaves open, from both slices' _elem_bits; None where more
     than _DENSE_SHARE of them are open. wide and bound are (M, N) float64 scratch."""
     p, least = _EXACT[dtype]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # u's inf and 0
         np.matmul(elems_a[0].view(np.float64), elems_b[0].view(np.float64), out=bound)
-        np.matmul(_reciprocal_lowbit(elems_a), _reciprocal_lowbit(elems_b), out=wide)
+        np.matmul(np.ldexp(1.0, -elems_a[1]), np.ldexp(1.0, -elems_b[1]), out=wide)
         proven = bound <= np.finfo(dtype).max
         proven &= wide <= np.ldexp(1.0, -least)  # inf for float64
         bound *= wide
@@ -287,6 +273,7 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole) -> np
     dtype = np.dtype(spec.accum)
     shape = (da.shape[0], db.shape[1])
     acc, part, term = (np.empty(shape, dtype) for _ in range(3))
+    acc.fill(-0.0)  # the identity of IEEE addition, so that -0.0 partials stay -0.0
     # reused: a fresh BLAS output per group costs page faults
     wide, bound = np.empty(shape), np.empty(shape)
     # after n entry proofs in a row end in the dense loop, the next 4**(n - 1)
@@ -298,7 +285,7 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole) -> np
         sa, sb = da[:, :k0], db[:k0]
         np.matmul(sa, sb, out=wide)
         _fold_entries(wide, wide == 0, sa, sb, dtype, exact=True)
-        np.copyto(acc, wide)  # an exact float64 sum casts to dtype without rounding
+        np.add(acc, wide, out=acc, dtype=dtype)  # an exact float64 sum casts unrounded
     for g0 in range(k0, k, gs):
         sa, sb = da[:, g0:g0 + gs], db[g0:g0 + gs]
         elems_a, elems_b = _elem_bits(sa), _elem_bits(sb)
@@ -320,11 +307,7 @@ def _fold(da: np.ndarray, db: np.ndarray, gs: int, spec: AccumSpec, whole) -> np
                 src = np.multiply(sa[:, 0, None], sb[0], out=part)
                 for t in range(1, gs):
                     part += np.multiply(sa[:, t, None], sb[t], out=term)
-        # an exact float64 sum casts to dtype without rounding
-        if g0 == 0:
-            np.copyto(acc, src)
-        else:
-            np.add(acc, src, out=acc, dtype=dtype)
+        np.add(acc, src, out=acc, dtype=dtype)  # an exact float64 sum casts unrounded
     return acc
 
 

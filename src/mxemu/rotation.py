@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quantizer import group_view, row_blocks
+from .quantizer import group_view, row_blocks, validate_range
 
 __all__ = ["RotationSpec", "make_rotation", "rotate", "splitmix64"]
 
@@ -94,8 +94,10 @@ def rotate(x, spec: RotationSpec, axis: int = -1, transpose: bool = False) -> np
     Forward: y = H (D x) / sqrt(d). Transpose: y = D (H x) / sqrt(d); since
     R is orthogonal the transpose inverts the forward rotation. The result
     is computed with the axis last and returned as its np.moveaxis view.
+    DataError if x is empty or holds a non-finite value, which would spread
+    to its whole row.
     """
-    moved = group_view(np.asarray(x, dtype=float), None, axis)[0]
+    moved = group_view(validate_range(x)[0], None, axis)[0]
     if moved.shape[-1] != spec.dim:
         raise ConfigError(
             f"extent {moved.shape[-1]} along axis {axis} != rotation dim {spec.dim}"

@@ -108,26 +108,27 @@ def _read_csv(path) -> np.ndarray:
 
 
 def write_quantized(path, q: QuantizedTensor) -> None:
+    """Write q as an MXQ1 file, one section at a time. The scale records are
+    built and audited before the file opens, so that an error leaves no file."""
     cfg = q.config
-    buf = io.BytesIO()
-    buf.write(_QMAGIC)
-    for name in (cfg.fmt.name, cfg.scale_mode.name):
-        raw = name.encode()
-        buf.write(struct.pack("<B", len(raw)))
-        buf.write(raw)
-    gs = -1 if cfg.group_size is None else cfg.group_size
-    ts = q.tensor_scale
-    buf.write(_QHEADER.pack(gs, cfg.axis, int(cfg.asymmetric), int(ts is not None),
-                            0.0 if ts is None else ts, len(q.shape)))
-    buf.write(struct.pack(f"<{len(q.shape)}Q", *q.shape))
-    buf.write(q.codes.tobytes(order="C"))
     flat_scales = q.scales.reshape(-1, 2)
-    buf.write(struct.pack("<Q", flat_scales.shape[0]))
     rec = np.empty(flat_scales.shape[0], dtype=_SCALE_RECORD)
     rec["pos"], rec["neg"] = flat_scales[:, 0], flat_scales[:, 1]
     rec["pbits"], rec["nbits"] = _audit_words(rec, cfg)
-    buf.write(rec.tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    gs = -1 if cfg.group_size is None else cfg.group_size
+    ts = q.tensor_scale
+    with open(path, "wb") as fh:
+        fh.write(_QMAGIC)
+        for name in (cfg.fmt.name, cfg.scale_mode.name):
+            raw = name.encode()
+            fh.write(struct.pack("<B", len(raw)))
+            fh.write(raw)
+        fh.write(_QHEADER.pack(gs, cfg.axis, int(cfg.asymmetric), int(ts is not None),
+                               0.0 if ts is None else ts, len(q.shape)))
+        fh.write(struct.pack(f"<{len(q.shape)}Q", *q.shape))
+        fh.write(np.ascontiguousarray(q.codes))  # a copy only where the codes are strided
+        fh.write(struct.pack("<Q", rec.size))
+        fh.write(rec)
 
 
 def _audit_words(rec, cfg):

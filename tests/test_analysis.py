@@ -34,6 +34,19 @@ def test_constant_group_undefined_kurtosis():
     assert np.isnan(stats.kurtosis[0])
 
 
+@pytest.mark.parametrize("group_size", [32, 64, None])
+def test_constant_groups_of_any_size_get_their_value_and_nan(group_size):
+    # numpy's pairwise mean of many N(0, 1) constants at 64 and 128 values rounds
+    rng = np.random.default_rng(9)
+    values = rng.normal(0, 1, 200)
+    x = np.vstack([np.repeat(values[:, None], 128, axis=1), rng.normal(0, 1, 128)])
+    stats = group_stats(x, group_size)
+    n = 200 * 128 // (group_size or 128)
+    np.testing.assert_array_equal(stats.mean[:n], np.repeat(values, n // 200))
+    assert np.isnan(stats.kurtosis[:n]).all() and not np.isnan(stats.kurtosis[n:]).any()
+    assert stats_summary(stats).undefined_kurtosis == n
+
+
 @pytest.mark.parametrize("x, match", [
     (np.r_[np.ones(7), np.nan], "non-finite input value at flat index 7"),
     (np.r_[np.ones(4), -np.inf, np.ones(3)], "non-finite input value at flat index 4"),
@@ -147,7 +160,8 @@ def _serial_group_stats(x, group_size, axis):
     """group_stats on one thread: the per-block body walked over row_blocks in
     block order, kept as the reference the threaded walk must match bit for bit.
     It leaves out the rerun of groups whose sigma leaves [2**-511, 2**511],
-    which no input it is compared on has."""
+    and the settling of constant groups whose mean rounds, which no input
+    it is compared on has."""
     _, xg, gs = group_view(validate_range(x)[0], group_size, axis)
     mean, kurtosis = np.empty((2, xg.size // gs))
     for groups, flat in row_blocks(xg):

@@ -218,7 +218,7 @@ def test_every_declared_option_is_read(small_file, rng, tmp_path, monkeypatch, c
     assert unread == {command: [] for command in runs}
 
 
-@pytest.mark.parametrize("command", ["stats", "lloydmax"])
+@pytest.mark.parametrize("command", ["stats", "lloydmax", "rotate"])
 def test_nan_input_is_data_error(rng, tmp_path, capsys, command):
     path = str(tmp_path / "nan.mxt")
     tensorfile.write_tensor(path, np.r_[rng.normal(0, 1, 63), np.nan].reshape(2, 32))

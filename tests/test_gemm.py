@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from mxemu import config, dequantize, quantize
 from mxemu.errors import ConfigError
-from mxemu import gemm
-from mxemu.formats import ELEMENT_FORMAT_NAMES
+from mxemu import gemm, scaling
+from mxemu.formats import ELEMENT_FORMAT_NAMES, FORMATS, grid, min_positive
 from mxemu.gemm import AccumSpec, dot, matmul
 from mxemu.rotation import make_rotation, rotate
 from mxemu.scaling import SCALE_MODES, degenerate_scale
@@ -782,3 +783,48 @@ def test_fold_and_matmul_bits_do_not_depend_on_the_operand_layout(rng, accum, na
             got = matmul(np.asarray(a, order=order_a), np.asarray(b, order=order_b), cfg,
                          replace(cfg, axis=0), spec)
             np.testing.assert_array_equal(got.view(np.uint8), want)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_the_least_positive_grid_value_gives_the_least_lowest_bit(name):
+    # _scale_stats takes q_grid from the least positive value alone
+    fmt = FORMATS[name]
+    values = grid(fmt)
+    least = gemm._elem_bits(values[values != 0])[1].min()
+    assert math.frexp(min_positive(fmt))[1] - 1 == least
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+@pytest.mark.parametrize("m, n, k, column_fold", [(2, 3, 64, False), (16, 16, 8, True)])
+def test_fold_entries_take_both_fold_groups_paths(monkeypatch, rng, accum, m, n, k, column_fold):
+    # a chunk of fewer entries than terms folds by cumsum, one of more column by column
+    da = rng.normal(0, 1, (m, k)) * 2.0 ** rng.integers(-30, 30, (m, k))
+    db = rng.normal(0, 1, (k, n)) * 2.0 ** rng.integers(-30, 30, (k, n))
+    da[1] = -0.0  # entries whose terms are all -0.0 or +0.0
+    db[:, 1] = 1.0
+    shapes, real = [], scaling.fold_groups
+    monkeypatch.setattr(scaling, "fold_groups",
+                        lambda f, xg: shapes.append(xg.shape) or real(f, xg))
+    out = np.empty((m, n))
+    dtype = np.dtype(accum)
+    gemm._fold_entries(out, np.ones((m, n), bool), da, db, dtype)
+    assert shapes and all((rows > cols) == column_fold for rows, cols in shapes)
+    expect = python_matmul_oracle(da, db, k, dtype.type)
+    np.testing.assert_array_equal(out.astype(dtype).view(f"u{dtype.itemsize}"),
+                                  expect.view(f"u{dtype.itemsize}"))
+    assert np.signbit(out[1, 1])
+
+
+@pytest.mark.parametrize("accum", ["float64", "float32"])
+@pytest.mark.parametrize("names", [("fp8_e4m3", "pot_floor", 32), ("fp4_e2m1_asym", "fp8e5m2", 32),
+                                   ("fp4_e2m1", "nvfp4_double", 16)])
+def test_matmul_raises_nothing_under_the_caller_errstate(accum, names):
+    # zero rows and columns give u = 2**-_NO_BITS, which underflows to 0
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(0.1, 1, (32, 512)), rng.normal(-0.05, 0.5, (512, 16))
+    a[[0, 7]], b[:, [3, 9]] = 0.0, 0.0
+    cfg, spec = config(*names), AccumSpec(accum)
+    want = matmul(a, b, cfg, cfg, spec)
+    with np.errstate(all="raise"):
+        got = matmul(a, b, cfg, cfg, spec)
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))

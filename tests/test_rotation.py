@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import hadamard
 
 from mxemu.analysis import group_stats, stats_summary
-from mxemu.errors import ConfigError
+from mxemu.errors import ConfigError, DataError
 from mxemu.rotation import make_rotation, rotate, splitmix64
 
 
@@ -100,6 +100,17 @@ def test_rotation_relates_to_sylvester_hadamard():
 def test_orthogonality(dim):
     r = rotation_matrix(make_rotation(dim, 7))
     assert np.abs(r @ r.T - np.eye(dim)).max() < 1e-10
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.r_[np.ones(5), np.nan, np.ones(2)], "non-finite input value at flat index 5"),
+    (np.r_[-np.inf, np.ones(7)], "non-finite input value at flat index 0"),
+    (np.zeros((0, 8)), "empty input tensor"),
+])
+def test_rotate_rejects_bad_input(x, match):
+    # a NaN or inf would spread to its whole row through the butterfly
+    with pytest.raises(DataError, match=match):
+        rotate(x, make_rotation(8, 1))
 
 
 def test_non_power_of_two_rejected():

@@ -89,6 +89,7 @@ def test_mxq1_rejects_zero_points_outside_int32(tmp_path, rng):
     q.scales[1, 0, 1] = -2.0**31 - 1
     with pytest.raises(TensorFileError, match="zero point"):
         write_quantized(tmp_path / "x.mxq", q)
+    assert not (tmp_path / "x.mxq").exists()  # the records are audited before the file opens
 
 
 def test_mxq1_reader_names_the_file_of_a_zero_point_outside_int32(tmp_path, rng):
@@ -122,6 +123,19 @@ def test_mxq1_files_keep_their_bytes(tmp_path, rng, cfg):
     q = quantize(rng.normal(0, 1, (4, 64)), config(*cfg))
     write_quantized(tmp_path / "x.mxq", q)
     assert hashlib.sha256((tmp_path / "x.mxq").read_bytes()).hexdigest() == MXQ1_SHA256[cfg]
+
+
+def test_mxq1_writer_streams_its_sections_to_the_file(tmp_path, rng):
+    # no copy of the whole file is built in memory: codes and records go out as they are
+    q = quantize(rng.normal(0, 1, (256, 2048)), config("fp4_e2m1_asym", "fp8e5m2", 32))
+    path = tmp_path / "x.mxq"
+    tracemalloc.start()
+    try:
+        write_quantized(path, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
 
 
 @pytest.mark.parametrize("byte", [ord("z"), 0xFF])
