@@ -15,8 +15,10 @@ the report's mse is defined as (clamp + round) / count so the decomposition
 identity is exact in float64. Both walk the grouped view in the blocks of
 quantizer.row_blocks: error_decomposition takes them from quantize_blocks,
 sums each group inside a block left to right, and folds all group
-subtotals at the end. A block of many short groups sums one column at a
-time across its groups (scaling.fold_groups), with a running sum's bits.
+subtotals at the end. A block of many short groups sums its round part one
+column at a time across its groups (scaling.fold_groups), with a running
+sum's bits, and its clamped part with np.bincount over the clamped
+elements alone, which adds them one at a time in order.
 
 group_stats runs its blocks on up to N threads, N the CPUs the process may
 run on, with at most N blocks in flight (working memory O(N x block)); a
@@ -208,8 +210,7 @@ class ErrorReport:
         mse is (clamp + round) / count, making clamp_sq_error +
         round_sq_error == mse * count an identity.
         """
-        sums = [(fold_groups(np.add, np.where(clamped, sq, 0.0)).ravel(),
-                 fold_groups(np.add, np.where(clamped, 0.0, sq)).ravel())
+        sums = [(_clamp_sums(sq, clamped), fold_groups(np.add, np.where(clamped, 0.0, sq)).ravel())
                 for sq, clamped in blocks]
         clamp_g, round_g = (np.concatenate(side) for side in zip(*sums))
         clamp_total = float(fold_groups(np.add, clamp_g))
@@ -225,8 +226,18 @@ class ErrorReport:
         }
 
 
+def _clamp_sums(sq, clamped):
+    """Per-group sums of the clamped elements of sq, each left to right from
+    +0.0: np.bincount adds its weights one at a time in index order, so each
+    sum has the bits of a fold in which the other elements are 0.0."""
+    n = sq.shape[-1]
+    at = np.flatnonzero(np.broadcast_to(clamped, sq.shape))
+    return np.bincount(at // n, sq.reshape(-1)[at], sq.size // n)
+
+
 def error_decomposition(x, cfg: QuantConfig) -> ErrorReport:
     """Quantize x under cfg and split squared error into clamp/round parts,
     block by block (see ErrorReport.fold for the fold order)."""
-    return ErrorReport.fold((((block - values) ** 2, clamped)
+    return ErrorReport.fold(((np.square(np.subtract(block, values, out=values), out=values),
+                              clamped)
                              for block, values, clamped in quantize_blocks(x, cfg)), np.size(x))

@@ -21,10 +21,14 @@ formats use rint(a). Every element format is at most 8 bits wide, so its
 codes are uint8; only fp16, the scale grid, has uint16 codes.
 
 The kernel works in one float64 buffer (a, then q) and one int32 buffer
-(the exponent shift, then (e - emin) << M), and builds the code in the code
-dtype, so no pass mixes an integer and a float operand. round_to_codes and
-decode take out=, so a caller's block is written in place: decode gathers
-into out with np.take after its range check. It finds NaN codes from the
+(the exponent shift, then (e - emin) << M); a float format's kernel takes
+one more float64 buffer, max(a, 2**emin), into which frexp also writes its
+unused mantissa. It builds the code in the code dtype, so no pass mixes an
+integer and a float operand, and sets the sign bit from one compare,
+v < -min_positive / 2, since exactly the magnitudes above min_positive / 2
+round to a nonzero code. round_to_codes and decode take out=, so a
+caller's block is written in place: decode gathers into out with np.take
+after its range check. It finds NaN codes from the
 NaN that a min of the values propagates.
 
 Grids are built once per format and cached; all operations are pure.
@@ -214,7 +218,8 @@ def round_to_codes(v, fmt: ElementFormat, out=None) -> np.ndarray:
         # s = M - e (frexp's exponent is e + 1), q = rint(a * 2**s) in place,
         # then the code ((e - emin) << M) + q; see the module docstring
         s = np.empty(arr.shape, np.int32)  # an array even for 0-d input
-        np.frexp(np.fmax(a, 2.0 ** (1 - bias)), out=(None, s))
+        floored = np.fmax(a, 2.0 ** (1 - bias), out=np.empty(arr.shape))
+        np.frexp(floored, out=(floored, s))  # the mantissa is not used
         np.subtract(M + 1, s, out=s)
         np.rint(np.ldexp(a, s, out=a), out=a)
         np.copyto(codes, a, casting="unsafe")
@@ -223,8 +228,8 @@ def round_to_codes(v, fmt: ElementFormat, out=None) -> np.ndarray:
         codes += s.astype(dtype)
     else:
         np.copyto(codes, np.rint(a, out=a), casting="unsafe")
-    neg = np.less(arr, 0)
-    neg &= codes != 0
+    # a nonzero code is a magnitude above min_positive / 2, which rounds to 0
+    neg = np.less(arr, -0.5 * mags[1])
     codes |= np.multiply(neg.view(np.uint8), 1 << (fmt.total_bits - 1), dtype=dtype)
     return codes[()] if out is None else out  # a numpy scalar for 0-d input
 

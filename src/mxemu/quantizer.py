@@ -9,12 +9,13 @@ the negative-scale slot of the per-group scale pair. The nvfp4_double scale
 mode adds an exact tensor-wise scale under FP8-encoded group scales.
 
 This module alone decides which scale each element uses: an asymmetric
-element's side is whether its value is negative, x < 0 when quantizing and
-the decoded grid value < 0 when dequantizing (every scale is positive, so a
--0.0 code gives -0.0 on either side). One flat gather over a block's
-(G, 2) scale pairs, np.take with int32 indices, picks the negative scale
-for side 1 and the positive one for side 0, and quantize divides x into
-the gathered buffer; symmetric groups broadcast their one scale. Where a
+element's side is whether its value is negative, x < 0 when quantizing,
+and its code's sign bit when dequantizing (the two differ only on the
+-0.0 code, and every scale is positive, so that code gives -0.0 on either
+side). One flat gather over a block's (G, 2) scale pairs, np.take with
+int32 indices, picks the negative scale for side 1 and the positive one
+for side 0, and quantize divides x into the gathered buffer; symmetric
+groups broadcast their one scale. Where a
 group scale times the nvfp4_double tensor scale underflows to 0.0,
 quantize divides by the tensor scale and then by the group scale.
 quantize_blocks also reports which elements clamp, from the values quantize
@@ -213,7 +214,8 @@ def quantize(x, cfg: QuantConfig) -> QuantizedTensor:
 def quantize_blocks(x, cfg: QuantConfig):
     """Yield (block, values, clamped) for each block of row_blocks over x's
     grouped view under cfg: block is row_blocks' (G, gs) block of x's groups,
-    values are those rows of dequantize(quantize(x, cfg)), bit for bit, and
+    values, a fresh array the caller may overwrite, are those rows of
+    dequantize(quantize(x, cfg)), bit for bit, and
     clamped marks the elements that clamp (see the module docstring). x is
     validated once, as the first block is asked for."""
     arr, lo, hi = validate_range(x)
@@ -264,11 +266,14 @@ def _quantize_zero_point(xg: np.ndarray, cfg: QuantConfig, codes: np.ndarray,
     format into codes and scales; return the codes before their clip.
     zero_point = round(-min / scale)."""
     q_max = 2**cfg.fmt.total_bits - 1
-    # numpy's reductions, not scaling.fold_groups: a zero min's sign reaches zp
-    lo = xg.min(-1)
-    hi = xg.max(-1)
+    lo, hi = scaling.fold_groups(np.minimum, xg), scaling.fold_groups(np.maximum, xg)
     with np.errstate(over="ignore"):  # a span past float64 fails as a binary32 overflow
         span = hi - lo
+    # the fold may give a zero min the other sign than numpy's min, and that
+    # sign reaches zp where the span is positive: those groups take numpy's
+    fix = (lo == 0) & (span > 0)
+    if fix.any():
+        lo[fix] = xg[fix].min(-1)
     # constant groups quantize against their own magnitude (zero span)
     ref = np.where(span > 0, span, np.maximum(np.abs(hi), 1.0))
     scale = scaling.binary32_scale(ref / q_max, "zero-point scale")
@@ -300,7 +305,8 @@ def _dequantize_block(codes: np.ndarray, scales: np.ndarray, cfg: QuantConfig, t
     if cfg.uses_zero_point:
         return np.multiply(codes - scales[:, 1:], scales[:, :1], out=out)
     formats.decode(codes, cfg.fmt, out=out)
-    out *= _side_scales(scales, out < 0) if cfg.asymmetric else scales[:, :1]
+    side = codes >> (cfg.fmt.total_bits - 1) if cfg.asymmetric else None  # the sign bit
+    out *= scales[:, :1] if side is None else _side_scales(scales, side)
     if tensor_scale is not None:
         out *= tensor_scale
     return out

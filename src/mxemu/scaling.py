@@ -2,11 +2,11 @@
 
 There is one scale path. group_scales takes each side's group amax, the
 |x| maximum for a symmetric group and the positive and negative maxima for
-an asymmetric one, and runs one rule body on each side; so symmetric,
-asymmetric and two-level (nvfp4_double) scaling are the same computation
-over one or two sides, and every public scale routine is a call into it.
-The side maxima come from fold_groups, which folds a block of many short
-groups one column at a time.
+an asymmetric one, and runs one rule body over them in one call; so
+symmetric, asymmetric and two-level (nvfp4_double) scaling are the same
+computation over one or two sides, and every public scale routine is a call
+into it. The side maxima come from fold_groups, which folds a block of
+groups by halving it, one call over each pair of adjacent columns.
 
 The rule validates amax (finite, >= 0), applies the mode's encoding and
 assigns the degenerate scale where amax == 0, in float64 for scalars or
@@ -170,38 +170,48 @@ def group_scales(xg, mode: ScaleMode, fmt: ElementFormat, asymmetric: bool = Fal
                  tensor_amax=None):
     """Positive and negative shared scales of the groups along xg's last axis.
 
-    Each side's group amax goes through the rule body once: |x| max
-    when symmetric (both scales are then the same array), max(x, 0) and
-    max(-x, 0) when asymmetric; a side with no mass gets the degenerate
-    scale. Returns (pos_scale, neg_scale, tensor_scale); tensor_scale is the
-    exact tensor-wise scale of the nvfp4_double mode from tensor_amax (by
-    default the largest side amax of xg), and None for every other mode.
+    Each side's group amax is the |x| max when symmetric (both scales are
+    then the same array), max(x, 0) and max(-x, 0) when asymmetric; a side
+    with no mass gets the degenerate scale. Both sides' maxima go through the
+    rule body in one call, stacked as one (2, ...) array. Returns (pos_scale,
+    neg_scale, tensor_scale); tensor_scale is the exact tensor-wise scale of
+    the nvfp4_double mode from tensor_amax (by default the largest side amax
+    of xg), and None for every other mode.
     """
     if asymmetric:
-        amaxes = (np.maximum(fold_groups(np.maximum, xg), 0.0),
-                  np.maximum(-fold_groups(np.minimum, xg), 0.0))
+        amax = np.stack([fold_groups(np.maximum, xg), fold_groups(np.minimum, xg)])
+        np.negative(amax[1:], out=amax[1:])
+        np.maximum(amax, 0.0, out=amax)
     else:
-        amaxes = (fold_groups(np.maximum, np.abs(xg)),)
+        amax = fold_groups(np.maximum, np.abs(xg))
     if mode.kind == "double":
         if tensor_amax is None:
-            tensor_amax = max(float(a.max()) for a in amaxes)
-        pairs = [nvfp4_scales(tensor_amax, a, fmt) for a in amaxes]
-        return pairs[0][1], pairs[-1][1], pairs[0][0]
-    scales = [_scale_rule(a, mode, fmt) for a in amaxes]
-    return scales[0], scales[-1], None
+            tensor_amax = float(np.max(amax))
+        tensor_scale, scales = nvfp4_scales(tensor_amax, amax, fmt)
+    else:
+        tensor_scale, scales = None, _scale_rule(amax, mode, fmt)
+    if asymmetric:
+        return scales[0], scales[1], tensor_scale
+    return scales, scales, tensor_scale
 
 
 def fold_groups(ufunc, xg: np.ndarray) -> np.ndarray:
-    """ufunc folded left to right along the last axis of xg, one group per
-    row: ufunc.reduce for np.maximum and np.minimum, the last running sum
-    for np.add. A 2-D block with more groups than a group has elements folds
-    one column at a time across all groups, one ufunc call per column; any
-    other block folds row by row. Both give the same bits, except that the
+    """ufunc folded along the last axis of xg, one group per row: ufunc.reduce
+    for np.maximum and np.minimum, the last running sum (left to right) for
+    np.add. np.maximum and np.minimum first halve the width while it is even,
+    one ufunc call over all pairs of adjacent columns, so a group of 32 takes
+    5 calls. What is left, and np.add, folds one column at a time across all
+    groups where there are more groups than columns, one ufunc call per
+    column, and row by row otherwise. Both give numpy's bits, except that the
     sign of a zero maximum or minimum may differ from numpy's reduction."""
-    if xg.ndim == 2 and xg.shape[0] > xg.shape[1]:
-        out = xg[:, 0].copy()
-        for column in xg.T[1:]:
-            ufunc(out, column, out=out)
+    if ufunc is not np.add:
+        while xg.shape[-1] > 1 and xg.shape[-1] % 2 == 0:
+            xg = ufunc(xg[..., 0::2], xg[..., 1::2])
+    width = xg.shape[-1]
+    if math.prod(xg.shape[:-1]) > width:
+        out = xg[..., 0].copy()
+        for i in range(1, width):
+            ufunc(out, xg[..., i], out=out)
         return out
     if ufunc is np.add:  # numpy's add.reduce sums pairwise, not left to right
         return np.cumsum(xg, axis=-1)[..., -1]

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import quantizer
 from .errors import ConfigError, DataError, TensorFileError
 from .formats import valid_codes
 from .quantizer import QuantizedTensor, config, group_view
@@ -114,7 +115,8 @@ def write_quantized(path, q: QuantizedTensor) -> None:
     flat_scales = q.scales.reshape(-1, 2)
     rec = np.empty(flat_scales.shape[0], dtype=_SCALE_RECORD)
     rec["pos"], rec["neg"] = flat_scales[:, 0], flat_scales[:, 1]
-    rec["pbits"], rec["nbits"] = _audit_words(rec, cfg)
+    for part, pbits, nbits in _audit_words(rec, cfg, cfg.group_size or q.codes.shape[-1]):
+        part["pbits"], part["nbits"] = pbits, nbits
     gs = -1 if cfg.group_size is None else cfg.group_size
     ts = q.tensor_scale
     with open(path, "wb") as fh:
@@ -131,32 +133,40 @@ def write_quantized(path, q: QuantizedTensor) -> None:
         fh.write(rec)
 
 
-def _audit_words(rec, cfg):
-    """The audit words of a record array's scale pairs under cfg: each
-    scale's scaling.scale_words word, and a zero point's signed int32."""
-    if not cfg.uses_zero_point:
-        return scale_words(rec["pos"], cfg.scale_mode), scale_words(rec["neg"], cfg.scale_mode)
-    zp = rec["neg"]
-    if not ((zp >= -2**31) & (zp < 2**31)).all():
-        raise TensorFileError("zero point outside the signed 32-bit range")
+def _audit_words(rec, cfg, gs):
+    """Yield (part, pbits, nbits) over a record array of groups of gs
+    elements, in slices of the groups one block of quantizer.row_blocks
+    holds: part is the slice of rec, and pbits and nbits the audit words of
+    its scale pairs under cfg, each scale's scaling.scale_words word and a
+    zero point's signed int32."""
+    step = max(1, quantizer.BLOCK_ELEMS // gs)
     # a zero-point scale is a binary32 value whatever the config's scale mode
-    return scale_words(rec["pos"], SCALE_MODES["fp32"]), zp.astype(np.int32).view(np.uint32)
+    mode = SCALE_MODES["fp32"] if cfg.uses_zero_point else cfg.scale_mode
+    for start in range(0, rec.size, step):
+        part = rec[start:start + step]
+        if not cfg.uses_zero_point:
+            yield part, scale_words(part["pos"], mode), scale_words(part["neg"], mode)
+            continue
+        zp = part["neg"]
+        if not ((zp >= -2**31) & (zp < 2**31)).all():
+            raise TensorFileError("zero point outside the signed 32-bit range")
+        yield part, scale_words(part["pos"], mode), zp.astype(np.int32).view(np.uint32)
 
 
-def _check_scales(path, rec, cfg) -> None:
-    """Raise TensorFileError unless every stored scale is finite, positive,
-    on its mode's grid and equal to its audit word; a zero point must be an
-    integer."""
+def _check_scales(path, rec, cfg, gs) -> None:
+    """Raise TensorFileError unless every stored scale of the groups of gs
+    elements is finite, positive, on its mode's grid and equal to its audit
+    word; a zero point must be an integer."""
     if cfg.uses_zero_point and not (rec["neg"] == np.round(rec["neg"])).all():
         raise TensorFileError(f"{path}: a stored zero point is not an integer")
     if not cfg.asymmetric and (rec["neg"] != rec["pos"]).any():
         raise TensorFileError(f"{path}: a symmetric group's two stored scales differ")
     try:
-        pbits, nbits = _audit_words(rec, cfg)
+        for part, pbits, nbits in _audit_words(rec, cfg, gs):
+            if not (np.array_equal(pbits, part["pbits"]) and np.array_equal(nbits, part["nbits"])):
+                raise TensorFileError("a stored scale differs from its audit word")
     except (DataError, TensorFileError) as exc:
         raise TensorFileError(f"{path}: {exc}") from None
-    if not (np.array_equal(pbits, rec["pbits"]) and np.array_equal(nbits, rec["nbits"])):
-        raise TensorFileError(f"{path}: a stored scale differs from its audit word")
 
 
 def read_quantized(path) -> QuantizedTensor:
@@ -205,7 +215,7 @@ def read_quantized(path) -> QuantizedTensor:
                         dtype=_SCALE_RECORD)
     if fh.read(1):
         raise TensorFileError(f"{path}: trailing bytes after the scale records")
-    _check_scales(path, rec, cfg)
+    _check_scales(path, rec, cfg, xg.shape[-1])
     if has_ts and not (math.isfinite(ts) and ts > 0):
         raise TensorFileError(f"{path}: the tensor scale is not finite and positive")
     if not has_ts and (ts != 0 or math.copysign(1.0, ts) < 0):

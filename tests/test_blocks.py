@@ -121,6 +121,33 @@ def test_a_scale_overflow_in_a_later_block_raises_the_same_error(monkeypatch, si
             call(x, cfg)
 
 
+def _zero_signed_minima():
+    """(96, 32) groups that all have a positive span: a +0.0 or -0.0 minimum
+    from both zeros in many orders, a zero minimum of one sign only, and a
+    negative minimum."""
+    rng = np.random.default_rng(9)
+    xg = np.abs(rng.normal(size=(96, 32))) + 0.5
+    for g in range(64):  # a +0.0 and a -0.0 in either order, and up to 3 more zeros
+        i, j = rng.choice(32, 2, replace=False)
+        xg[g, i], xg[g, j] = (0.0, -0.0) if g % 2 else (-0.0, 0.0)
+        xg[g, rng.choice(32, g % 4)] = rng.choice([0.0, -0.0], g % 4)
+    xg[64:72, :3], xg[72:80, -3:] = 0.0, -0.0
+    xg[80:] -= 1.0
+    return xg
+
+
+@pytest.mark.parametrize("size", sorted(BLOCK_SIZES.values()))
+def test_zero_points_take_the_sign_of_numpys_minimum(monkeypatch, size):
+    monkeypatch.setattr(quantizer, "BLOCK_ELEMS", size)
+    xg = _zero_signed_minima()
+    q = quantize(xg.reshape(-1, 4 * 32), config("int4_asym", "pot_floor", 32))
+    lo = xg.min(-1)
+    scale = ((xg.max(-1) - lo) / 15).astype(np.float32).astype(np.float64)
+    want = np.stack([scale, np.round(-lo / scale)], axis=-1)
+    assert np.signbit(want[:64, 1]).any() and not np.signbit(want[:64, 1]).all()
+    assert q.scales.reshape(-1, 2).tobytes() == want.tobytes()
+
+
 def _extra_peak(call, *args):
     """Traced peak of call(*args) beyond the bytes of what it returns."""
     tracemalloc.start()
@@ -158,6 +185,31 @@ def test_memory_stays_flat_in_the_row_count():
             assert grown < 2**20, (name, axis, grown)
             if name in ("dequantize", "rotate"):  # blocks are stored in x's layout
                 assert peak < 2 * 2**20, (name, axis, peak)
+
+
+# the configs of the benchmark's quantize sweep
+SWEEP_CONFIGS = [
+    ("fp4_e2m1", "pot_floor", 32),
+    ("fp4_e2m1_asym", "fp8e5m2", 32),
+    ("fp4_e2m1", "nvfp4_double", 16),
+    ("fp6_e2m3_asym", "pot_round", 32),
+    ("fp8_e4m3", "pot_floor", 32),
+    ("int4_asym", "pot_floor", 32),
+]
+
+
+def test_the_block_step_keeps_a_small_working_set():
+    # 1024x4096 float64 is 32 MiB and a block 0.5 MiB. The bounds sit just
+    # above what the block step measures: 1.89-1.98 MiB for quantize and
+    # 3.02-3.06 MiB for error_decomposition.
+    x = np.random.default_rng(2).normal(size=(1024, 4096))
+    for names in SWEEP_CONFIGS:
+        cfg = config(*names)
+        peak = _extra_peak(quantize, x, cfg)
+        assert peak <= 2 * 2**20, (names, peak)
+        if cfg.group_size == 32:
+            peak = _extra_peak(error_decomposition, x, cfg)
+            assert peak <= 3.25 * 2**20, (names, peak)
 
 
 @pytest.mark.parametrize("shape, axis", [((64, 6), 0), ((3, 64, 2), 1)])

@@ -342,3 +342,20 @@ def test_decode_into_out_rejects_what_decode_rejects():
                               (np.array([-1]), FP4, "codes must be integers")):
         with pytest.raises(DataError, match=match):
             decode(codes, fmt, out=np.empty(codes.shape))
+
+
+@pytest.mark.parametrize("fmt", CONTRACT_FORMATS, ids=lambda f: f.name)
+def test_the_sign_bit_marks_exactly_the_nonzero_codes_of_negative_values(fmt):
+    # h = min_positive / 2 is the tie between 0 and min_positive, which rounds to 0
+    h = min_positive(fmt) / 2
+    mags = [h, np.nextafter(h, 0), np.nextafter(h, np.inf), 0.0, np.inf]
+    v = np.array([m * s for m in mags for s in (1.0, -1.0)] + [np.nan])
+    codes = formats.round_to_codes(v, fmt).astype(np.int64)
+    sign = 1 << (fmt.total_bits - 1)
+    mag_codes = formats.round_to_codes(np.abs(v), fmt).astype(np.int64)
+    assert (mag_codes < sign).all()
+    np.testing.assert_array_equal(codes & ~sign, mag_codes)
+    np.testing.assert_array_equal(codes & sign != 0, (v < 0) & (mag_codes != 0))
+    # at and below h the code is 0, above it min_positive's; NaN and inf clamp
+    np.testing.assert_array_equal(mag_codes[:6], [0, 0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(mag_codes[-3:], encode(max_normal(fmt), fmt))

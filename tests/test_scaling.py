@@ -316,14 +316,20 @@ def _fold_input(gs):
     return x
 
 
-@pytest.mark.parametrize("gs", [1, 2, 16, 32, 64, "row"])
-def test_fold_groups_gives_numpys_folds(gs):
-    x = _fold_input(gs)
-    assert fold_groups(np.add, x).tobytes() == np.cumsum(x, axis=-1)[:, -1].tobytes()
+def _assert_numpys_folds(x):
+    assert fold_groups(np.add, x).tobytes() == np.cumsum(x, axis=-1)[..., -1].tobytes()
     for ufunc, want in ((np.maximum, x.max(-1)), (np.minimum, x.min(-1))):
         got = fold_groups(ufunc, x)
+        assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)  # the sign of a zero may differ
         assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+
+# 3, 6, 48 and 96 halve to an odd width of 3, which the column fold finishes
+@pytest.mark.parametrize("gs", [1, 2, 3, 6, 16, 32, 48, 64, 96, "row"])
+def test_fold_groups_gives_numpys_folds(gs):
+    x = _fold_input(gs)
+    _assert_numpys_folds(x)
     # the float path takes |x| or clamps at +0.0, so no zero sign reaches a scale
     for mode in ("pot_floor", "fp8e5m2"):
         rule = {"pot_floor": lambda a: pot_floor_scale(a, FP4),
@@ -333,3 +339,18 @@ def test_fold_groups_gives_numpys_folds(gs):
         assert neg.tobytes() == rule(np.maximum(-x.min(-1), 0.0)).tobytes()
         pos, _, _ = group_scales(x, get_scale_mode(mode), FP4)
         assert pos.tobytes() == rule(np.abs(x).max(-1)).tobytes()
+
+
+@pytest.mark.parametrize("gs", [3, 6, 32, 48])
+def test_fold_groups_of_a_3d_input(gs):
+    # the groups of each 2-D slice, folded as one 3-D input
+    x = _fold_input(gs)
+    _assert_numpys_folds(x.reshape(4, -1, gs))
+    _assert_numpys_folds(x.reshape(-1, 4, gs))
+
+
+def test_fold_groups_of_one_group():
+    x = _fold_input(32)[8]
+    for ufunc, want in ((np.maximum, x.max()), (np.minimum, x.min())):
+        assert np.ndim(fold_groups(ufunc, x)) == 0 and fold_groups(ufunc, x) == want
+    assert fold_groups(np.add, x) == np.cumsum(x)[-1]

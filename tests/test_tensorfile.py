@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mxemu import config, dequantize, quantize
+from mxemu import config, dequantize, quantize, quantizer
 from mxemu.errors import TensorFileError
 from mxemu.formats import decode, round_to_codes
 from mxemu.scaling import SCALE_MODES
@@ -136,6 +136,36 @@ def test_mxq1_writer_streams_its_sections_to_the_file(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * path.stat().st_size
+
+
+def test_mxq1_writer_peaks_under_half_the_file_size(tmp_path, rng):
+    # the records take 0.43x of this file; their audit words are made a
+    # block's groups at a time, into the records
+    q = quantize(rng.normal(0, 1, (1024, 4096)), config("fp4_e2m1_asym", "fp8e5m2", 32))
+    path = tmp_path / "x.mxq"
+    tracemalloc.start()
+    try:
+        write_quantized(path, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("cfg", sorted(MXQ1_SHA256), ids=lambda c: "/".join(map(str, c)))
+def test_mxq1_audit_of_one_group_at_a_time(monkeypatch, tmp_path, rng, cfg):
+    # the same bytes, and a damaged audit word in the last slice is found
+    monkeypatch.setattr(quantizer, "BLOCK_ELEMS", 1)
+    q = quantize(rng.normal(0, 1, (4, 64)), config(*cfg))
+    path = tmp_path / "x.mxq"
+    write_quantized(path, q)
+    data = bytearray(path.read_bytes())
+    assert hashlib.sha256(data).hexdigest() == MXQ1_SHA256[cfg]
+    np.testing.assert_array_equal(read_quantized(path).scales, q.scales)
+    data[-8] ^= 1  # the last record's pbits
+    path.write_bytes(bytes(data))
+    with pytest.raises(TensorFileError, match="a stored scale differs from its audit word$"):
+        read_quantized(path)
 
 
 @pytest.mark.parametrize("byte", [ord("z"), 0xFF])
